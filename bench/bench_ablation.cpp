@@ -6,12 +6,10 @@
 //   D3 — inline scripts denied vs treated as first party.
 //   D5 — identifier matching with encodings vs raw-only: how many
 //        exfiltration flows the detector would miss.
-#include "cookieguard/cookieguard.h"
-
-#include <memory>
-#include <vector>
+#include <optional>
 
 #include "bench_util.h"
+#include "cookieguard/deployment.h"
 
 namespace {
 
@@ -35,16 +33,10 @@ CrawlStats run(const corpus::Corpus& corpus,
   options.attribution = attribution;
   options.browser_config.async_stack_traces = async_stacks;
   options.threads = threads;
-  // Per-worker guard instances so the enforcement crawls shard too.
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
+  std::optional<cookieguard::Deployment> guards;
   if (guard_config != nullptr) {
-    for (int i = 0; i < threads; ++i) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>(*guard_config));
-    }
-    options.extension_factory = [&guards](int worker) {
-      return std::vector<browser::Extension*>{
-          guards[static_cast<std::size_t>(worker)].get()};
-    };
+    guards.emplace(threads, *guard_config);
+    options.extension_factory = guards->factory();
   }
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
       "Figure 2 — top 20 cross-domain exfiltrator script domains", corpus, threads);
 
   analysis::Analyzer analyzer(corpus.entities());
-  bench::run_measurement_crawl(corpus, analyzer, nullptr,
+  bench::run_measurement_crawl(corpus, analyzer,
                                /*with_faults=*/true, threads, nullptr,
                                bench::policy_from_args(argc, argv));
 

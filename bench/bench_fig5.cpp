@@ -5,12 +5,8 @@
 // 86.2%, and exfiltration by 83.2%. The residual comes from the site-owner
 // full-access policy (§6.1) — site scripts proxying identifiers (server-side
 // GTM, §5.7) and first-party cleanup/rewrite scripts.
-#include "cookieguard/cookieguard.h"
-
-#include <memory>
-#include <vector>
-
 #include "bench_util.h"
+#include "cookieguard/deployment.h"
 
 int main(int argc, char** argv) {
   using namespace cg;
@@ -21,32 +17,22 @@ int main(int argc, char** argv) {
       corpus, threads);
 
   analysis::Analyzer baseline(corpus.entities());
-  bench::run_measurement_crawl(corpus, baseline, nullptr,
+  bench::run_measurement_crawl(corpus, baseline,
                                /*with_faults=*/false, threads);
 
-  // Each shard worker enforces with its own CookieGuard instance
-  // (enforcement is per-visit deterministic); the counters are summed into
-  // one crawl-wide tally afterwards.
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
-  for (int i = 0; i < threads; ++i) {
-    guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-  }
+  cookieguard::Deployment guards(threads);
   analysis::Analyzer guarded(corpus.entities());
   {
     crawler::Crawler crawler(corpus);
     crawler::CrawlOptions options;
     options.fault_plan.reset();
     options.threads = threads;
-    options.extension_factory = [&guards](int worker) {
-      return std::vector<browser::Extension*>{
-          guards[static_cast<std::size_t>(worker)].get()};
-    };
+    options.extension_factory = guards.factory();
     crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
       guarded.ingest(log);
     });
   }
-  cookieguard::CookieGuard::Stats guard_stats;
-  for (const auto& guard : guards) guard_stats.merge(guard->stats());
+  const cookieguard::CookieGuard::Stats guard_stats = guards.stats();
 
   const auto& b = baseline.totals();
   const auto& g = guarded.totals();

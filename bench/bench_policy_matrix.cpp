@@ -12,7 +12,10 @@
 //     defense actually blocks (engine refusals + extension vetoes +
 //     cookies hidden from reads) and how much still reaches the jar,
 // and prints one matrix row per policy, plus a markdown copy of the table
-// for EXPERIMENTS.md.
+// for EXPERIMENTS.md. A last `filter-list` row puts the §2.1 EasyList-style
+// blocker (src/baselines/) on the manipulation axis only — it has no
+// partitioning policy to pair breakage or overhead with, so those columns
+// read n/a — and the bench reports the scripts and requests it blocked.
 //
 // The expected shape IS the paper's argument (§6): FPI and CHIPS partition
 // *between* top-level sites, so they neither break nor protect the
@@ -20,11 +23,14 @@
 // through both. Only CookieGuard, which partitions *within* the jar by
 // script origin, blocks the manipulation the paper measures, at the cost
 // of the Table 3 breakage it quantifies.
-#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "baselines/baselines.h"
 #include "bench_util.h"
 #include "breakage/breakage.h"
+#include "cookieguard/deployment.h"
 #include "perf/perf.h"
 
 namespace {
@@ -32,10 +38,11 @@ namespace {
 using namespace cg;
 
 struct MatrixRow {
-  policy::PolicyKind kind = policy::PolicyKind::kNone;
-  double breakage_minor_pct = 0;  // sites with any minor regression
-  double breakage_major_pct = 0;  // sites with any major regression
-  double overhead_ms = 0;         // mean load-event delta vs plain browser
+  std::string label;  // the policy name, or "filter-list"
+  // Cost axes; unset (printed n/a) for the filter-list row.
+  std::optional<double> breakage_minor_pct;  // sites with any minor regression
+  std::optional<double> breakage_major_pct;  // sites with any major regression
+  std::optional<double> overhead_ms;  // mean load-event delta vs plain browser
   // Manipulation axis (Table 5): what the defense stopped...
   long long writes_blocked = 0;   // engine refusals + extension vetoes
   long long cookies_hidden = 0;   // cookies filtered out of reads
@@ -46,27 +53,60 @@ struct MatrixRow {
   double doc_exfil_pct = 0;      // sites with cross-domain exfiltration
 };
 
-/// The guard deployment each policy row pairs with: kCookieGuard is the
-/// jar-identical engine plus the strict extension (the paper's default
-/// deployment, same browsers as `cgsim crawl --guard`); the others run
-/// bare.
-bool wants_guard(policy::PolicyKind kind) {
-  return kind == policy::PolicyKind::kCookieGuard;
+/// Table 5 axis: the measurement crawl under `kind` — with CookieGuard
+/// deployed for kCookieGuard — plus `blocker` when non-null (one shared
+/// instance, so that crawl runs on one thread).
+void measure_manipulation(const corpus::Corpus& corpus,
+                          policy::PolicyKind kind, int threads,
+                          baselines::FilterListBlocker* blocker,
+                          MatrixRow& row) {
+  crawler::Crawler crawler(corpus);
+  crawler::CrawlOptions options;
+  options.threads = threads;
+  options.policy = kind;
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
+  std::optional<cookieguard::Deployment> guards;
+  if (kind == policy::PolicyKind::kCookieGuard) {
+    guards.emplace(threads);
+    options.extension_factory = guards->factory();
+  }
+  if (blocker != nullptr) options.extra_extensions.push_back(blocker);
+  analysis::Analyzer analyzer(corpus.entities());
+  crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
+    analyzer.ingest(log);
+  });
+
+  row.writes_blocked = metrics.counter("policy.writes_blocked");
+  if (guards) {
+    row.writes_blocked +=
+        static_cast<long long>(guards->stats().writes_blocked);
+  }
+  row.cookies_hidden = metrics.counter("cookieguard.cookies_hidden");
+  row.partitioned_stores = metrics.counter("policy.partitioned_stores");
+
+  const auto& t = analyzer.totals();
+  const double n = std::max(1, t.sites_complete);
+  row.doc_overwrite_pct = 100.0 * t.sites_doc_overwrite / n;
+  row.doc_delete_pct = 100.0 * t.sites_doc_delete / n;
+  row.doc_exfil_pct = 100.0 * t.sites_doc_exfil / n;
 }
 
 MatrixRow evaluate_policy(const corpus::Corpus& corpus,
                           policy::PolicyKind kind, int threads) {
   MatrixRow row;
-  row.kind = kind;
+  row.label = policy::to_string(kind);
 
   // ---- Table 3 axis: breakage on the paper's 100-site sample. ----------
+  // kCookieGuard pairs the jar-identical engine with the strict extension
+  // (the paper's default deployment); the others run bare.
   breakage::BreakageEvaluator evaluator(corpus);
   const auto sample =
       evaluator.sample_sites(100, std::min(10000, corpus.size()));
   const auto breakage_summary = evaluator.summarize(
       sample,
-      wants_guard(kind) ? breakage::GuardMode::kStrict
-                        : breakage::GuardMode::kOff,
+      kind == policy::PolicyKind::kCookieGuard ? breakage::GuardMode::kStrict
+                                               : breakage::GuardMode::kOff,
       kind);
   row.breakage_minor_pct =
       100.0 * breakage_summary.sites_minor / breakage_summary.sites;
@@ -78,44 +118,16 @@ MatrixRow evaluate_policy(const corpus::Corpus& corpus,
       perf::compare_page_load_policy(corpus, corpus.size(), kind, threads)
           .mean_overhead_ms;
 
-  // ---- Table 5 axis: the measurement crawl under the policy. ------------
-  const int workers =
-      threads <= 0 ? runtime::ThreadPool::hardware_threads() : threads;
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
-  crawler::Crawler crawler(corpus);
-  crawler::CrawlOptions options;
-  options.threads = threads;
-  options.policy = kind;
-  obs::MetricsRegistry metrics;
-  options.metrics = &metrics;
-  if (wants_guard(kind)) {
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
-  }
-  analysis::Analyzer analyzer(corpus.entities());
-  crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
-    analyzer.ingest(log);
-  });
-
-  cookieguard::CookieGuard::Stats guard_stats;
-  for (const auto& guard : guards) guard_stats.merge(guard->stats());
-  row.writes_blocked =
-      metrics.counter("policy.writes_blocked") +
-      static_cast<long long>(guard_stats.writes_blocked);
-  row.cookies_hidden = metrics.counter("cookieguard.cookies_hidden");
-  row.partitioned_stores = metrics.counter("policy.partitioned_stores");
-
-  const auto& t = analyzer.totals();
-  const double n = std::max(1, t.sites_complete);
-  row.doc_overwrite_pct = 100.0 * t.sites_doc_overwrite / n;
-  row.doc_delete_pct = 100.0 * t.sites_doc_delete / n;
-  row.doc_exfil_pct = 100.0 * t.sites_doc_exfil / n;
+  measure_manipulation(corpus, kind, threads, nullptr, row);
   return row;
+}
+
+/// `value` as "%.1f" plus `suffix`, or "n/a" when unmeasured.
+std::string cell(std::optional<double> value, const char* suffix = "") {
+  if (!value) return "n/a";
+  char text[32];
+  std::snprintf(text, sizeof text, "%.1f%s", *value, suffix);
+  return text;
 }
 
 void print_matrix(const std::vector<MatrixRow>& rows) {
@@ -125,9 +137,9 @@ void print_matrix(const std::vector<MatrixRow>& rows) {
               "overwr%", "delete%", "exfil%");
   for (const auto& row : rows) {
     std::printf(
-        "  %-12s %7.1f %7.1f %9.1f %9lld %9lld %11lld %8.1f %8.1f %8.1f\n",
-        std::string(policy::to_string(row.kind)).c_str(),
-        row.breakage_minor_pct, row.breakage_major_pct, row.overhead_ms,
+        "  %-12s %7s %7s %9s %9lld %9lld %11lld %8.1f %8.1f %8.1f\n",
+        row.label.c_str(), cell(row.breakage_minor_pct).c_str(),
+        cell(row.breakage_major_pct).c_str(), cell(row.overhead_ms).c_str(),
         row.writes_blocked, row.cookies_hidden, row.partitioned_stores,
         row.doc_overwrite_pct, row.doc_delete_pct, row.doc_exfil_pct);
   }
@@ -141,12 +153,13 @@ void print_matrix(const std::vector<MatrixRow>& rows) {
   std::printf("|---|---|---|---|---|---|---|---|---|---|\n");
   for (const auto& row : rows) {
     std::printf(
-        "| %s | %.1f%% | %.1f%% | %.1f | %lld | %lld | %lld | %.1f%% | "
+        "| %s | %s | %s | %s | %lld | %lld | %lld | %.1f%% | "
         "%.1f%% | %.1f%% |\n",
-        std::string(policy::to_string(row.kind)).c_str(),
-        row.breakage_minor_pct, row.breakage_major_pct, row.overhead_ms,
-        row.writes_blocked, row.cookies_hidden, row.partitioned_stores,
-        row.doc_overwrite_pct, row.doc_delete_pct, row.doc_exfil_pct);
+        row.label.c_str(), cell(row.breakage_minor_pct, "%").c_str(),
+        cell(row.breakage_major_pct, "%").c_str(),
+        cell(row.overhead_ms).c_str(), row.writes_blocked,
+        row.cookies_hidden, row.partitioned_stores, row.doc_overwrite_pct,
+        row.doc_delete_pct, row.doc_exfil_pct);
   }
 }
 
@@ -168,7 +181,20 @@ int main(int argc, char** argv) {
                 std::string(policy::to_string(kind)).c_str());
     rows.push_back(evaluate_policy(corpus, kind, threads));
   }
+  // The §2.1 filter-list baseline, on the manipulation axis only.
+  std::printf("evaluating filter-list...\n");
+  baselines::FilterListBlocker filter_list;
+  MatrixRow filter_row;
+  filter_row.label = "filter-list";
+  measure_manipulation(corpus, policy::PolicyKind::kNone, threads,
+                       &filter_list, filter_row);
+  rows.push_back(filter_row);
   print_matrix(rows);
+  std::printf(
+      "\n  filter-list blocked %llu script inclusions and %llu requests "
+      "(the vendor functionality it removes).\n",
+      static_cast<unsigned long long>(filter_list.stats().scripts_blocked),
+      static_cast<unsigned long long>(filter_list.stats().requests_blocked));
 
   std::printf(
       "\n  reading: FPI/CHIPS partition BETWEEN top-level sites, so they "

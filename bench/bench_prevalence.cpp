@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   analysis::Analyzer analyzer(corpus.entities());
   const auto trace = bench::trace_recorder_from_args(argc, argv);
-  bench::run_measurement_crawl(corpus, analyzer, nullptr,
+  bench::run_measurement_crawl(corpus, analyzer,
                                /*with_faults=*/true, threads, trace.get(),
                                bench::policy_from_args(argc, argv));
 

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       "Table 2 — top 20 cookies exfiltrated by cross-domain scripts", corpus, threads);
 
   analysis::Analyzer analyzer(corpus.entities());
-  bench::run_measurement_crawl(corpus, analyzer, nullptr,
+  bench::run_measurement_crawl(corpus, analyzer,
                                /*with_faults=*/true, threads, nullptr,
                                bench::policy_from_args(argc, argv));
 

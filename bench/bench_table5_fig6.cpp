@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       "Table 5 / Figure 6 — cross-domain overwriting and deletion", corpus, threads);
 
   analysis::Analyzer analyzer(corpus.entities());
-  bench::run_measurement_crawl(corpus, analyzer, nullptr,
+  bench::run_measurement_crawl(corpus, analyzer,
                                /*with_faults=*/true, threads, nullptr,
                                bench::policy_from_args(argc, argv));
   const auto& t = analyzer.totals();

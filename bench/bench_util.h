@@ -22,10 +22,12 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
+#include "cookieguard/deployment.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
 #include "obs/trace.h"
@@ -157,7 +159,7 @@ inline void print_header(const char* title, const corpus::Corpus& corpus,
 
 /// CG_ARCHIVE=<file.cgar>: replay a packed archive (cgsim pack) through the
 /// analyzer instead of crawling live. Only the plain measurement crawl —
-/// faults on, no extension — is archived, so that is the only configuration
+/// faults on, policy none — is archived, so that is the only configuration
 /// the archive can substitute for; provenance in the footer (corpus seed,
 /// site count, fault-plan seed) is checked against what the live crawl
 /// would have used, and any mismatch is a hard error rather than hours of
@@ -229,22 +231,18 @@ inline bool analyzer_from_archive_env(const corpus::Corpus& corpus,
   return true;
 }
 
-/// Runs the measurement crawl (no enforcement) into `analyzer`. A non-null
-/// `extra` extension forces a sequential crawl (shared instance); benches
-/// that want an extension at N threads use CrawlOptions::extension_factory
-/// directly. A non-null `trace` recorder receives the crawl's virtual-time
-/// trace. With CG_ARCHIVE set, the plain configuration (no extension,
-/// faults on, no trace) replays the archive instead of crawling; other
-/// configurations — guarded or fault-free comparison crawls the archive
-/// does not represent — always run live.
+/// Runs the measurement crawl under `policy` into `analyzer`; kCookieGuard
+/// deploys CookieGuard on every crawl worker. A non-null `trace` recorder
+/// receives the crawl's virtual-time trace. With CG_ARCHIVE set, the plain
+/// configuration (policy none, faults on, no trace) replays the archive
+/// instead of crawling; other configurations — fault-free comparison crawls
+/// or policies the archive does not represent — always run live.
 inline void run_measurement_crawl(
     const corpus::Corpus& corpus, analysis::Analyzer& analyzer,
-    browser::Extension* extra = nullptr, bool with_faults = true,
-    int threads = 1, obs::TraceRecorder* trace = nullptr,
+    bool with_faults = true, int threads = 1,
+    obs::TraceRecorder* trace = nullptr,
     policy::PolicyKind policy = policy::PolicyKind::kNone) {
-  // Archives record the default single-jar crawl; a policy run must crawl
-  // live (the archive cannot substitute for a partitioned jar).
-  if (extra == nullptr && with_faults && trace == nullptr &&
+  if (with_faults && trace == nullptr &&
       policy == policy::PolicyKind::kNone &&
       analyzer_from_archive_env(corpus, analyzer)) {
     return;
@@ -255,7 +253,11 @@ inline void run_measurement_crawl(
   options.threads = threads;
   options.trace = trace;
   options.policy = policy;
-  if (extra != nullptr) options.extra_extensions.push_back(extra);
+  std::optional<cookieguard::Deployment> guards;
+  if (policy == policy::PolicyKind::kCookieGuard) {
+    guards.emplace(threads);
+    options.extension_factory = guards->factory();
+  }
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);
   });

@@ -14,7 +14,7 @@
 //   cgsim perf     [--sites N] [--threads T]
 //   cgsim trace-check FILE
 //   cgsim pack     [--sites N] [--threads T] [--no-faults] --out FILE
-//                  [--policy none|cookieguard|fpi|chips]
+//                  [--guard] [--policy none|cookieguard|fpi|chips]
 //                  [--wave W] [--evo-seed S]
 //                  [--base FILE[,FILE...]]
 //                  [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
@@ -22,10 +22,12 @@
 //
 // --policy selects the cookie-partitioning engine for the defense bake-off
 // (src/policy/): none is the status-quo jar and byte-identical to omitting
-// the flag; cookieguard = none's jar plus the CookieGuard extension (same
-// browsers as --guard); fpi is Firefox First-Party Isolation; chips is
-// RFC6265bis partitioned cookies. The active policy is recorded in the
-// CGAR footer, hard provenance like the corpus and fault seeds.
+// the flag; cookieguard = none's jar plus a CookieGuard on every crawl
+// worker; fpi is Firefox First-Party Isolation; chips is RFC6265bis
+// partitioned cookies. --guard is an alias for --policy cookieguard (it
+// cannot be combined with --policy fpi or chips). The active policy is
+// recorded in the CGAR footer, hard provenance like the corpus and fault
+// seeds.
 //   cgsim query    --archive FILE[,FILE...] [--wave W] [--site RANK]
 //                  [--json FILE] [--pairs-csv FILE] [--domains-csv FILE]
 //   cgsim verify-archive FILE
@@ -70,7 +72,9 @@
 //
 // Everything the benches compute, behind one adoptable binary with
 // machine-readable output.
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,7 +91,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "breakage/breakage.h"
-#include "cookieguard/cookieguard.h"
+#include "cookieguard/deployment.h"
 #include "corpus/corpus.h"
 #include "corpus/streaming_corpus.h"
 #include "crawler/crawler.h"
@@ -98,7 +102,6 @@
 #include "perf/perf.h"
 #include "policy/partition_policy.h"
 #include "report/report.h"
-#include "runtime/thread_pool.h"
 #include "store/atomic_file.h"
 #include "store/chain.h"
 #include "store/reader.h"
@@ -121,9 +124,23 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  int get_int(const std::string& key, int fallback) const {
+  /// The whole value as a base-10 integer in [min_value, INT_MAX]; anything
+  /// else exits 2 naming the flag, so `--sites abc` never crawls 0 sites.
+  int get_int(const std::string& key, int fallback, int min_value = 0) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == options.end()) return fallback;
+    const char* text = it->second.c_str();
+    errno = 0;
+    char* end = nullptr;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        value < min_value || value > INT_MAX) {
+      std::fprintf(stderr,
+                   "cgsim: --%s must be an integer in [%d, %d], got \"%s\"\n",
+                   key.c_str(), min_value, INT_MAX, text);
+      std::exit(2);
+    }
+    return static_cast<int>(value);
   }
 };
 
@@ -148,7 +165,7 @@ Args parse_args(int argc, char** argv) {
 
 corpus::Corpus make_corpus(const Args& args) {
   corpus::CorpusParams params;
-  params.site_count = args.get_int("sites", 2000);
+  params.site_count = args.get_int("sites", 2000, 1);
   return corpus::Corpus(params);
 }
 
@@ -186,6 +203,28 @@ store::ArchivePolicy to_archive_policy(policy::PolicyKind kind) {
   return store::ArchivePolicy::kNone;
 }
 
+/// The crawl's partitioning policy: --policy NAME, default none. --guard is
+/// an alias for --policy cookieguard. Prints why and returns nullopt on a
+/// bad name or on --guard with another defense.
+std::optional<policy::PolicyKind> policy_from_args(const Args& args) {
+  const auto kind = policy::parse_policy(args.get("policy", "none"));
+  if (!kind) {
+    std::fprintf(stderr,
+                 "cgsim: --policy must be none, cookieguard, fpi, or chips\n");
+    return std::nullopt;
+  }
+  if (!args.has("guard")) return kind;
+  if (*kind != policy::PolicyKind::kNone &&
+      *kind != policy::PolicyKind::kCookieGuard) {
+    std::fprintf(stderr,
+                 "cgsim: --guard means --policy cookieguard; it cannot be "
+                 "combined with --policy %s\n",
+                 std::string(policy::to_string(*kind)).c_str());
+    return std::nullopt;
+  }
+  return policy::PolicyKind::kCookieGuard;
+}
+
 /// Peak resident set size in KiB (0 where unsupported). Reported on stderr
 /// only — stdout stays byte-deterministic.
 long peak_rss_kib() {
@@ -201,7 +240,7 @@ long peak_rss_kib() {
 /// three produce byte-identical blueprints for the same (seed, wave).
 std::unique_ptr<corpus::CorpusView> make_corpus_view(const Args& args) {
   corpus::CorpusParams params;
-  params.site_count = args.get_int("sites", 2000);
+  params.site_count = args.get_int("sites", 2000, 1);
   if (args.has("wave") || args.has("evo-seed")) {
     evolve::EvolutionParams evolution;
     evolution.seed = parse_u64(args.get("evo-seed", ""), evolution.seed);
@@ -343,13 +382,14 @@ int cmd_crawl(const Args& args) {
   crawler::CrawlOptions options;
   options.threads = args.get_int("threads", 1);
   if (args.has("no-faults")) options.fault_plan.reset();
-  const auto policy_kind = policy::parse_policy(args.get("policy", "none"));
-  if (!policy_kind) {
-    std::fprintf(stderr,
-                 "cgsim: --policy must be none, cookieguard, fpi, or chips\n");
-    return 2;
-  }
+  const auto policy_kind = policy_from_args(args);
+  if (!policy_kind) return 2;
   options.policy = *policy_kind;
+  std::optional<cookieguard::Deployment> guards;
+  if (options.policy == policy::PolicyKind::kCookieGuard) {
+    guards.emplace(options.threads);
+    options.extension_factory = guards->factory();
+  }
 
   // Observability: stream the trace straight to disk (a 20k-site trace need
   // not fit in memory); metrics registries fold site-by-site and are
@@ -382,27 +422,6 @@ int cmd_crawl(const Args& args) {
     options.scheduler_metrics = &scheduler_metrics;
   }
 
-  // One CookieGuard per crawl worker — extensions are stateful, so each
-  // thread needs its own instance (behaviour is per-visit deterministic).
-  // --policy cookieguard is the jar-identical engine plus the extension, so
-  // it installs the exact same per-worker guards as --guard.
-  const bool want_guard =
-      args.has("guard") ||
-      options.policy == policy::PolicyKind::kCookieGuard;
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
-  if (want_guard) {
-    const int workers = options.threads <= 0
-                            ? runtime::ThreadPool::hardware_threads()
-                            : options.threads;
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
-  }
-
   // Crash-safe progress: persist a checkpoint every N sites; --resume
   // continues a killed crawl from the persisted file.
   const std::string checkpoint_path = args.get("checkpoint", "");
@@ -426,7 +445,7 @@ int cmd_crawl(const Args& args) {
     health = crawler.resume(*checkpoint, options, sink);
   } else {
     std::string note;
-    if (want_guard) note += " with CookieGuard";
+    if (guards) note += " with CookieGuard";
     if (options.policy != policy::PolicyKind::kNone &&
         options.policy != policy::PolicyKind::kCookieGuard) {
       note += " under policy ";
@@ -491,12 +510,8 @@ int cmd_crawl(const Args& args) {
 // Crawl once, analyze many times: pack streams the measurement crawl into a
 // CGAR archive. No analyzer runs here — the archive *is* the product.
 int cmd_pack(const Args& args) {
-  const auto policy_kind = policy::parse_policy(args.get("policy", "none"));
-  if (!policy_kind) {
-    std::fprintf(stderr,
-                 "cgsim: --policy must be none, cookieguard, fpi, or chips\n");
-    return 2;
-  }
+  const auto policy_kind = policy_from_args(args);
+  if (!policy_kind) return 2;
 
   // Delta packs (--base): the base chain pins the corpus — seeds, site
   // count, policy, wave — so the next wave is crawled from the exact
@@ -575,6 +590,11 @@ int cmd_pack(const Args& args) {
   options.threads = args.get_int("threads", 1);
   if (args.has("no-faults")) options.fault_plan.reset();
   options.policy = *policy_kind;
+  std::optional<cookieguard::Deployment> guards;
+  if (options.policy == policy::PolicyKind::kCookieGuard) {
+    guards.emplace(options.threads);
+    options.extension_factory = guards->factory();
+  }
   if (base_chain) options.delta_base = &*base_chain;
 
   const std::string out_path = args.get("out", "crawl.cgar");
@@ -920,7 +940,7 @@ int cmd_audit(const Args& args) {
 int cmd_breakage(const Args& args) {
   corpus::Corpus corpus(make_corpus(args));
   breakage::BreakageEvaluator evaluator(corpus);
-  const auto sample = evaluator.sample_sites(args.get_int("sample", 100),
+  const auto sample = evaluator.sample_sites(args.get_int("sample", 100, 1),
                                              corpus.size());
   for (const auto mode :
        {breakage::GuardMode::kStrict, breakage::GuardMode::kEntityGrouping,
@@ -1046,9 +1066,10 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "usage: cgsim <crawl|audit|breakage|perf|trace-check|pack|"
                "query|verify-archive>\n"
-               "             [--sites N] [--threads T] [--guard] "
+               "             [--sites N] [--threads T] "
                "[--policy none|cookieguard|fpi|chips] [--site I] "
                "[--sample K]\n"
+               "             [--guard] (alias for --policy cookieguard)\n"
                "             [--stream] [--wave W] [--evo-seed S] "
                "[--totals-only] [--base FILE,...]\n"
                "             [--json FILE] [--pairs-csv FILE] "

@@ -1,19 +1,6 @@
 #include "baselines/baselines.h"
 
-#include "browser/page.h"
-
 namespace cg::baselines {
-
-void ThirdPartyCookieBlocking::on_headers_received(
-    browser::Page& page, const net::HttpRequest& request,
-    const net::HttpResponse& response,
-    const std::vector<cookies::CookieChange>& changes) {
-  (void)changes;
-  if (!net::same_site(request.url, page.url()) &&
-      !response.set_cookie_headers().empty()) {
-    ++cross_site_headers_seen_;
-  }
-}
 
 std::vector<std::string> FilterListBlocker::default_blocklist() {
   return {

@@ -51,6 +51,12 @@ Page::Page(Browser& browser, net::Url url)
       main_frame_(std::move(url), nullptr),
       loop_(&browser.clock()) {}
 
+Page::~Page() {
+  for (const auto& origin : frame_origins_) {
+    browser_.jar_store().erase(policy::frame_partition_key(origin));
+  }
+}
+
 TimeMillis Page::now() const { return browser_.clock().now(); }
 
 void Page::charge_api_call() {
@@ -209,29 +215,18 @@ void Page::run_as(const script::ExecContext& ctx,
 
 // ---- subframes (SOP boundary) -------------------------------------------
 
-/// PageServices for a cross-origin subframe: cookie operations hit a
-/// partitioned jar, DOM access goes to the frame's own document, and script
+/// PageServices for a cross-origin subframe: cookie operations go through
+/// Page::policy_read / policy_store with the frame's origin in the access
+/// context, DOM access goes to the frame's own document, and script
 /// inclusion/injection stays inside the frame. Nothing here can reach the
 /// main frame's first-party jar — SOP at work (paper §3).
-///
-/// Which partitioned jar depends on the active policy's frame_jar_scope():
-/// kPage passes the legacy per-page ephemeral jar keyed by frame origin
-/// (`legacy_jar` non-null, byte-identical to the pre-policy simulator);
-/// kBrowser leaves it null and routes through Page::policy_read /
-/// policy_store, so FPI/CHIPS frame cookies land in browser-level
-/// partitions keyed by the top-level site.
 class Page::FrameServices final : public script::PageServices {
  public:
-  FrameServices(Page& page, webplat::Frame& frame,
-                cookies::CookieJar* legacy_jar)
-      : page_(page), frame_(frame), legacy_jar_(legacy_jar) {}
+  FrameServices(Page& page, webplat::Frame& frame)
+      : page_(page), frame_(frame) {}
 
   std::string document_cookie_read(const script::ExecContext&) override {
     page_.charge_api_call();
-    if (legacy_jar_ != nullptr) {
-      return legacy_jar_->document_cookie_string(
-          frame_.url(), page_.browser().clock().now());
-    }
     std::string out;
     for (const auto& c : read_cookies()) {
       if (!out.empty()) out += "; ";
@@ -242,11 +237,6 @@ class Page::FrameServices final : public script::PageServices {
   void document_cookie_write(const script::ExecContext&,
                              std::string_view cookie_line) override {
     page_.charge_api_call();
-    if (legacy_jar_ != nullptr) {
-      legacy_jar_->set_from_string(frame_.url(), cookie_line,
-                                   page_.browser().clock().now());
-      return;
-    }
     if (const auto parsed = net::parse_set_cookie(cookie_line)) {
       store(*parsed, std::nullopt);
     }
@@ -292,8 +282,8 @@ class Page::FrameServices final : public script::PageServices {
   }
   void send_request(const script::ExecContext& ctx,
                     const net::Url& url) override {
-    // Frame requests go out, but carry the partitioned jar, not the
-    // first-party one; attribution still works via the page stack.
+    // Frame requests go out with the page's HTTP cookie rules; attribution
+    // still works via the page stack.
     page_.send_request(ctx, url);
   }
   void inject_script(const script::ExecContext&, std::string_view) override {
@@ -311,36 +301,22 @@ class Page::FrameServices final : public script::PageServices {
   script::Rng& rng() override { return page_.browser().rng(); }
 
  private:
-  /// RFC 6265 retrieval for the frame under the active scope; legacy mode
-  /// keeps the mutating cookies_for_url (last_access semantics unchanged).
+  policy::CookieAccessContext frame_ctx() const {
+    auto ctx = page_.cookie_ctx(frame_.url(), cookies::JarApi::kScript);
+    ctx.frame_origin = frame_.url().origin();
+    return ctx;
+  }
   std::vector<cookies::Cookie> read_cookies() {
-    const TimeMillis now = page_.browser().clock().now();
-    if (legacy_jar_ != nullptr) {
-      return legacy_jar_->cookies_for_url(frame_.url(), now,
-                                          cookies::JarApi::kScript);
-    }
-    return page_.policy_read(
-        page_.cookie_ctx(frame_.url(), cookies::JarApi::kScript), now);
+    return page_.policy_read(frame_ctx(), page_.browser().clock().now());
   }
   void store(const net::ParsedSetCookie& parsed,
              std::optional<cookies::CookieSource> source) {
-    const TimeMillis now = page_.browser().clock().now();
-    if (legacy_jar_ != nullptr) {
-      legacy_jar_->set(frame_.url(), parsed, now, cookies::JarApi::kScript,
-                       source);
-      return;
-    }
-    page_.policy_store(frame_.url(), parsed,
-                       page_.cookie_ctx(frame_.url(),
-                                        cookies::JarApi::kScript),
-                       now, source);
+    page_.policy_store(frame_.url(), parsed, frame_ctx(),
+                       page_.browser().clock().now(), source);
   }
 
   Page& page_;
   webplat::Frame& frame_;
-  /// Legacy per-page partition (FrameJarScope::kPage); null routes through
-  /// the browser-level policy partitions (FrameJarScope::kBrowser).
-  cookies::CookieJar* legacy_jar_;
 };
 
 webplat::Frame& Page::create_subframe(const net::Url& url) {
@@ -357,14 +333,8 @@ void Page::run_in_frame(
     body(*this);
     return;
   }
-  // Under NoDefense/CookieGuard the cross-origin frame gets the legacy
-  // per-page ephemeral jar keyed by its origin; FPI/CHIPS route frame
-  // cookies into the browser-level partitions instead.
-  cookies::CookieJar* legacy_jar =
-      browser_.policy().frame_jar_scope() == policy::FrameJarScope::kPage
-          ? &partitioned_jars_[frame.url().origin()]
-          : nullptr;
-  FrameServices services(*this, frame, legacy_jar);
+  frame_origins_.insert(frame.url().origin());
+  FrameServices services(*this, frame);
   body(services);
 }
 

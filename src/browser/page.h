@@ -8,8 +8,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +29,10 @@ namespace cg::browser {
 class Page final : public script::PageServices {
  public:
   Page(Browser& browser, net::Url url);
+  /// Drops the partitions of the cross-origin frames this page ran.
+  ~Page() override;
+  Page(const Page&) = delete;
+  Page& operator=(const Page&) = delete;
 
   /// Fetches the document, parses the DOM, runs static scripts, drains the
   /// event loop, and records the lifecycle timings. Returns false when the
@@ -64,9 +68,10 @@ class Page final : public script::PageServices {
 
   /// Runs `body` inside `frame` under SOP rules (paper §3, Figure 1):
   /// same-origin frames share the first-party jar and document; cross-origin
-  /// frames get a partitioned jar (keyed by frame origin) and their own
-  /// document — they cannot reach the main frame's cookies or DOM. This is
-  /// why the paper's adversary must be *in the main frame*.
+  /// frames get their own document, and their cookie calls reach the policy
+  /// engine as a frame context (CookieAccessContext::frame_origin) — they
+  /// cannot reach the main frame's cookies or DOM. This is why the paper's
+  /// adversary must be *in the main frame*.
   void run_in_frame(webplat::Frame& frame, const script::ExecContext& ctx,
                     const std::function<void(script::PageServices&)>& body);
 
@@ -154,9 +159,10 @@ class Page final : public script::PageServices {
   fault::FailureClass load_failure_ = fault::FailureClass::kNone;
   TimeMillis nav_start_ = 0;
   int inclusion_depth_ = 0;  // guards against inject cycles
-  /// Partitioned cookie jars for cross-origin subframes, keyed by the
-  /// subframe origin (Safari-ITP/Total-Cookie-Protection style, §2.1).
-  std::map<std::string, cookies::CookieJar> partitioned_jars_;
+  /// Origins of the cross-origin frames this page ran; the destructor drops
+  /// their policy::frame_partition_key partitions, so frame cookies live
+  /// for one page (Safari-ITP/Total-Cookie-Protection style, §2.1).
+  std::set<std::string> frame_origins_;
 };
 
 }  // namespace cg::browser

@@ -19,8 +19,9 @@
 namespace cg::cookies {
 
 /// A partition key. The policy engines build keys like "" (unpartitioned),
-/// "fpi:<firstPartyDomain>", or "chips:<top-level-site>"; the store treats
-/// them as opaque. Ordered (std::map) so iteration is deterministic.
+/// "fpi:<firstPartyDomain>", "chips:<top-level-site>", or
+/// "frame:<frame-origin>"; the store treats them as opaque. Ordered
+/// (std::map) so iteration is deterministic.
 using PartitionKey = std::string;
 
 /// The default partition: the pre-policy single first-party jar.
@@ -60,6 +61,9 @@ class PartitionedJarStore {
   const std::map<PartitionKey, CookieJar>& partitions() const {
     return jars_;
   }
+
+  /// Drops the partition for `key` and its cookies (no-op when absent).
+  void erase(const PartitionKey& key) { jars_.erase(key); }
 
   void clear() { jars_.clear(); }
 

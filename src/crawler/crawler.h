@@ -61,8 +61,8 @@ struct CrawlOptions {
   /// Cookie-partitioning policy installed on every browser the crawl
   /// creates (the defense bake-off's independent variable). kNone is the
   /// status-quo single jar, byte-identical to the pre-policy crawler;
-  /// kCookieGuard keeps the jar identical too — pair it with per-worker
-  /// CookieGuard extensions via extension_factory. Engines are stateless,
+  /// kCookieGuard keeps the jar identical too — pair it with a
+  /// cookieguard::Deployment's extension_factory. Engines are stateless,
   /// so one shared instance serves every shard worker.
   policy::PolicyKind policy = policy::PolicyKind::kNone;
 

@@ -1,10 +1,10 @@
 #include "perf/perf.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
+#include "cookieguard/deployment.h"
 #include "crawler/crawler.h"
-#include "runtime/thread_pool.h"
 
 namespace cg::perf {
 
@@ -26,30 +26,21 @@ struct Collected {
   std::vector<TimeMillis> dcl, interactive, load;
 };
 
-/// One fault-free timing crawl under a policy engine, optionally with
-/// per-worker CookieGuard instances (extensions are stateful, so each
-/// crawl thread needs its own; guard behaviour is per-visit deterministic,
-/// so the timings are identical at any thread count).
+/// One fault-free timing crawl under a policy engine, optionally with a
+/// CookieGuard deployment (the timings are identical at any thread count).
 Collected run_timing_crawl(const crawler::Crawler& crawl, int site_count,
                            int threads, policy::PolicyKind policy,
                            bool with_guard,
                            const cookieguard::CookieGuardConfig& config) {
-  const int workers =
-      threads <= 0 ? runtime::ThreadPool::hardware_threads() : threads;
   Collected collected;
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
   crawler::CrawlOptions options;
   options.fault_plan.reset();
   options.threads = threads;
   options.policy = policy;
+  std::optional<cookieguard::Deployment> guards;
   if (with_guard) {
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>(config));
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
+    guards.emplace(threads, config);
+    options.extension_factory = guards->factory();
   }
   crawl.crawl(site_count, options,
               [&](instrument::VisitLog&& log) {

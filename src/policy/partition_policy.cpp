@@ -20,12 +20,18 @@ cookies::PartitionKey chips_key(const std::string& top_level_site) {
 
 /// Status-quo single jar: everything first-party lands in the default
 /// partition; cross-site traffic carries no cookies (the simulator models a
-/// post-third-party-cookie browser, §1). NoDefense and CookieGuardPolicy
-/// share this storage behaviour — CookieGuard changes the API boundary
-/// above the jar, never the jar itself (§6).
+/// post-third-party-cookie browser, §1). A cross-origin subframe gets its
+/// own per-page partition keyed by frame origin — checked before the
+/// cross-site gate, because SOP, not the third-party rule, scopes frame
+/// script access. NoDefense and CookieGuardPolicy share this storage
+/// behaviour — CookieGuard changes the API boundary above the jar, never
+/// the jar itself (§6).
 class SingleJarPolicy : public PartitionPolicy {
  public:
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
+    if (!ctx.frame_origin.empty()) {
+      return StoreDecision::ok(frame_partition_key(ctx.frame_origin));
+    }
     if (ctx.cross_site) {
       return StoreDecision::blocked(std::string(kThirdPartyPhasedOut));
     }
@@ -33,6 +39,9 @@ class SingleJarPolicy : public PartitionPolicy {
   }
 
   ReadDecision key_for_read(const CookieAccessContext& ctx) const override {
+    if (!ctx.frame_origin.empty()) {
+      return ReadDecision::ok({frame_partition_key(ctx.frame_origin)});
+    }
     if (ctx.cross_site) {
       return ReadDecision::blocked(std::string(kThirdPartyPhasedOut));
     }
@@ -42,10 +51,6 @@ class SingleJarPolicy : public PartitionPolicy {
   bool visible(const cookies::Cookie&,
                const CookieAccessContext&) const override {
     return true;
-  }
-
-  FrameJarScope frame_jar_scope() const override {
-    return FrameJarScope::kPage;
   }
 };
 
@@ -88,10 +93,6 @@ class FirstPartyIsolation final : public PartitionPolicy {
                const CookieAccessContext&) const override {
     return true;  // partition separation IS the isolation
   }
-
-  FrameJarScope frame_jar_scope() const override {
-    return FrameJarScope::kBrowser;
-  }
 };
 
 /// RFC6265bis + CHIPS: first-party cookies stay in the default partition;
@@ -132,10 +133,6 @@ class Chips final : public PartitionPolicy {
     // the partition-key separation.
     return !ctx.cross_site || cookie.partitioned;
   }
-
-  FrameJarScope frame_jar_scope() const override {
-    return FrameJarScope::kBrowser;
-  }
 };
 
 }  // namespace
@@ -160,6 +157,12 @@ std::optional<PolicyKind> parse_policy(std::string_view name) {
   if (name == "fpi") return PolicyKind::kFirstPartyIsolation;
   if (name == "chips") return PolicyKind::kChips;
   return std::nullopt;
+}
+
+cookies::PartitionKey frame_partition_key(std::string_view frame_origin) {
+  std::string key = "frame:";
+  key += frame_origin;
+  return key;
 }
 
 std::string script_origin_from_stack(const webplat::StackTrace& stack) {

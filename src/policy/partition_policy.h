@@ -56,7 +56,7 @@ inline constexpr std::string_view kFpiMissingAttributeError =
 
 /// Everything a policy engine may key on for one cookie access. Built by
 /// the browser at each API boundary crossing (document.cookie, cookieStore,
-/// HTTP attach / Set-Cookie).
+/// HTTP attach / Set-Cookie, cross-origin subframe script APIs).
 struct CookieAccessContext {
   /// eTLD+1 of the top-level document — Firefox's firstPartyDomain, CHIPS's
   /// partition key. Empty models an access with no first-party context
@@ -71,9 +71,17 @@ struct CookieAccessContext {
   /// HTTP, inline scripts, or browser-internal access.
   std::string script_origin;
   cookies::JarApi api = cookies::JarApi::kScript;
+  /// Origin of the cross-origin subframe the access runs in; empty for
+  /// main-frame (and same-origin frame) script access and for HTTP.
+  std::string frame_origin;
   /// The parsed `Partitioned` attribute (stores only).
   bool partitioned_attribute = false;
 };
+
+/// The per-page partition a cross-origin frame's cookies live in under the
+/// single-jar engines. The page that hosts the frame drops it when the page
+/// is destroyed.
+cookies::PartitionKey frame_partition_key(std::string_view frame_origin);
 
 /// Derives the acting script origin for a context from the capture-time
 /// stack, the same attribution the paper's extensions use (§6.2).
@@ -133,16 +141,6 @@ struct ReadDecision {
   }
 };
 
-/// Where a cross-origin subframe's cookies live under this policy.
-enum class FrameJarScope {
-  /// Ephemeral per-page jar keyed by frame origin (the simulator's legacy
-  /// TCP-style model; NoDefense/CookieGuard keep it for byte-identity).
-  kPage,
-  /// The browser's partitioned store, under key_for_* of the frame context
-  /// (FPI/CHIPS: partitions outlive the page, scoped by first party).
-  kBrowser,
-};
-
 class PartitionPolicy {
  public:
   virtual ~PartitionPolicy() = default;
@@ -161,9 +159,6 @@ class PartitionPolicy {
   /// a partition is readable.
   virtual bool visible(const cookies::Cookie& cookie,
                        const CookieAccessContext& ctx) const = 0;
-
-  /// Where cross-origin subframe cookies live under this policy.
-  virtual FrameJarScope frame_jar_scope() const = 0;
 };
 
 /// The shared stateless engine for `kind`. Never null; valid for the

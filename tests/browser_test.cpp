@@ -397,6 +397,31 @@ TEST(FrameIsolationTest, CrossOriginFrameCookiesArePartitioned) {
   EXPECT_EQ(site.browser().jar().size(), 0u);
 }
 
+TEST(FrameIsolationTest, FrameCookiesDoNotOutliveThePage) {
+  testsupport::TestSite site;
+  const auto frame_url =
+      net::Url::must_parse("https://ads.tracker.com/frame.html");
+  const auto frame_ctx =
+      testsupport::context_for_url("https://ads.tracker.com/ad.js");
+  {
+    auto page = site.open();
+    auto& frame = page->create_subframe(frame_url);
+    page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+      services.document_cookie_write(frame_ctx, "frame_id=abc123; Path=/");
+    });
+  }
+  // Page 1 is gone and took its frame cookies with it.
+  EXPECT_EQ(site.browser().jar_store().total_cookies(), 0u);
+
+  auto page = site.open();
+  auto& frame = page->create_subframe(frame_url);
+  std::string seen = "unset";
+  page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+    seen = services.document_cookie_read(frame_ctx);
+  });
+  EXPECT_EQ(seen, "");  // the same-origin frame on page 2 starts empty
+}
+
 TEST(FrameIsolationTest, SameOriginFrameSharesMainJar) {
   testsupport::TestSite site;
   auto page = site.open();

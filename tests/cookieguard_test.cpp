@@ -3,7 +3,10 @@
 // grouping, per-site policies, and metadata (re-)attribution.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cookieguard/cookieguard.h"
+#include "cookieguard/deployment.h"
 #include "script/interpreter.h"
 #include "test_support.h"
 
@@ -515,6 +518,58 @@ TEST(CookieGuardStoreGetTest, SingleGetFilteredPerOrigin) {
   });
   page->loop().run_until_idle();
   EXPECT_TRUE(owner_saw);
+}
+
+TEST(DeploymentTest, EachWorkerGetsItsOwnGuard) {
+  Deployment deployment(3);
+  const auto factory = deployment.factory();
+  std::set<browser::Extension*> distinct;
+  for (int worker = 0; worker < 3; ++worker) {
+    const auto installed = factory(worker);
+    ASSERT_EQ(installed.size(), 1u);
+    ASSERT_NE(dynamic_cast<CookieGuard*>(installed.front()), nullptr);
+    EXPECT_EQ(factory(worker), installed);  // stable per worker
+    distinct.insert(installed.front());
+  }
+  EXPECT_EQ(distinct.size(), 3u);
+}
+
+TEST(DeploymentTest, StatsAreTheSumOfTheWorkersStats) {
+  Deployment deployment(3);
+  const auto factory = deployment.factory();
+  CookieGuard::Stats expected;
+  for (int worker = 0; worker < 3; ++worker) {
+    auto* guard = dynamic_cast<CookieGuard*>(factory(worker).front());
+    ASSERT_NE(guard, nullptr);
+    // Worker w's guard filters w + 1 reads and blocks w overwrites, so a
+    // sum that dropped or repeated a worker would not match.
+    TestSite site;
+    site.browser().add_extension(guard);
+    auto page = site.open();
+    const auto owner = context_for_url("https://connect.facebook.net/f.js");
+    const auto tracker = context_for_url("https://cdn.tracker.com/t.js");
+    page->run_as(owner, [&](script::PageServices& services) {
+      services.document_cookie_write(owner, "_fbp=fb.1.1.8683; Path=/");
+    });
+    page->run_as(tracker, [&](script::PageServices& services) {
+      for (int i = 0; i <= worker; ++i) services.document_cookie_read(tracker);
+      for (int i = 0; i < worker; ++i) {
+        services.document_cookie_write(tracker, "_fbp=stolen; Path=/");
+      }
+    });
+    EXPECT_EQ(guard->stats().reads_filtered,
+              static_cast<std::uint64_t>(worker + 1));
+    EXPECT_EQ(guard->stats().writes_blocked,
+              static_cast<std::uint64_t>(worker));
+    expected.merge(guard->stats());
+  }
+  const auto total = deployment.stats();
+  EXPECT_EQ(total.reads_filtered, 6u);
+  EXPECT_EQ(total.writes_blocked, 3u);
+  EXPECT_EQ(total.reads_filtered, expected.reads_filtered);
+  EXPECT_EQ(total.cookies_hidden, expected.cookies_hidden);
+  EXPECT_EQ(total.writes_blocked, expected.writes_blocked);
+  EXPECT_EQ(total.inline_denied, expected.inline_denied);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "cookieguard/cookieguard.h"
+#include "cookieguard/deployment.h"
 #include "crawler/crawler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -72,21 +72,13 @@ TEST(ParallelCrawlTest, PerWorkerGuardsMatchSequentialGuard) {
     analysis::Analyzer analyzer(corpus.entities());
     crawler::CrawlOptions options;
     options.threads = threads;
-    std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
-    const int workers = threads < 1 ? 1 : threads;
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
+    cookieguard::Deployment guards(threads);
+    options.extension_factory = guards.factory();
     crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
       analyzer.ingest(log);
     });
-    cookieguard::CookieGuard::Stats stats;
-    for (const auto& guard : guards) stats.merge(guard->stats());
-    return std::pair(report::summary_to_json(analyzer, 20).dump(2), stats);
+    return std::pair(report::summary_to_json(analyzer, 20).dump(2),
+                     guards.stats());
   };
 
   const auto [summary1, stats1] = crawl_guarded(1);

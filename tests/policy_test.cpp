@@ -8,12 +8,14 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "browser/page.h"
-#include "cookieguard/cookieguard.h"
+#include "cookieguard/deployment.h"
 #include "crawler/crawler.h"
 #include "obs/metrics.h"
 #include "policy/partition_policy.h"
@@ -84,7 +86,19 @@ TEST(PolicyEngineTest, SingleJarBlocksCrossSiteWithoutDefenseCredit) {
         ctx_for("shop.example", "https://www.shop.example/", false));
     ASSERT_TRUE(same_site.allowed);
     EXPECT_EQ(same_site.key, cookies::PartitionKey());  // the classic jar
-    EXPECT_EQ(engine.frame_jar_scope(), policy::FrameJarScope::kPage);
+
+    // A cross-origin frame gets its per-page partition, checked before the
+    // cross-site refusal (SOP, not the third-party rule, scopes it).
+    auto frame = ctx_for("shop.example", "https://ads.tracker.com/frame.html",
+                         true);
+    frame.frame_origin = "https://ads.tracker.com";
+    const auto frame_store = engine.key_for_store(frame);
+    ASSERT_TRUE(frame_store.allowed);
+    EXPECT_EQ(frame_store.key, "frame:https://ads.tracker.com");
+    const auto frame_read = engine.key_for_read(frame);
+    ASSERT_TRUE(frame_read.allowed);
+    EXPECT_EQ(frame_read.keys, std::vector<cookies::PartitionKey>{
+                                   "frame:https://ads.tracker.com"});
   }
 }
 
@@ -111,7 +125,14 @@ TEST(PolicyEngineTest, FpiKeysEveryAccessByFirstPartyDomain) {
       ctx_for("shop.example", "https://www.shop.example/", false));
   ASSERT_TRUE(read.allowed);
   EXPECT_EQ(read.keys, std::vector<cookies::PartitionKey>{"fpi:shop.example"});
-  EXPECT_EQ(fpi.frame_jar_scope(), policy::FrameJarScope::kBrowser);
+
+  // Frame contexts key by first party too; the frame origin plays no part.
+  auto frame = ctx_for("shop.example", "https://ads.tracker.com/frame.html",
+                       true);
+  frame.frame_origin = "https://ads.tracker.com";
+  EXPECT_EQ(fpi.key_for_store(frame).key, "fpi:shop.example");
+  EXPECT_EQ(fpi.key_for_read(frame).keys,
+            std::vector<cookies::PartitionKey>{"fpi:shop.example"});
 }
 
 TEST(PolicyEngineTest, FpiMissingAttributeIsFirefoxVerbatimError) {
@@ -275,8 +296,8 @@ TEST(PolicyBrowserTest, ChipsFrameStoresOnlyPartitionedCookies) {
       net::Url::must_parse("https://ads.tracker.com/frame.html"));
   const auto frame_ctx = context_for_url("https://ads.tracker.com/ad.js");
   page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
-    // Unpartitioned third-party write: blocked by CHIPS (under the legacy
-    // model it would have landed in the ephemeral per-page frame jar).
+    // Unpartitioned third-party write: blocked by CHIPS (under none it
+    // would have landed in the frame's per-page partition).
     services.document_cookie_write(frame_ctx, "uid=3p; Path=/");
     EXPECT_EQ(services.document_cookie_read(frame_ctx), "");
     // The CHIPS-conformant write goes through, keyed by the embedder...
@@ -290,6 +311,38 @@ TEST(PolicyBrowserTest, ChipsFrameStoresOnlyPartitionedCookies) {
   ASSERT_NE(partition, nullptr);
   EXPECT_EQ(partition->size(), 1u);
   EXPECT_EQ(site.browser().jar().size(), 0u);
+}
+
+TEST(PolicyBrowserTest, SameSiteCrossOriginFrameSharesOnlyTheFpiPartition) {
+  // static.shop.example is same-site but cross-origin to www.shop.example:
+  // under none SOP gives the frame its own jar; under FPI both frames key
+  // by the first party and share fpi:shop.example.
+  const auto run = [](PolicyKind kind) {
+    TestSite site;
+    site.browser().set_policy(&policy::engine_for(kind));
+    auto page = site.open();
+    const auto main_ctx = context_for_url("https://www.shop.example/app.js");
+    page->run_as(main_ctx, [&](script::PageServices& services) {
+      services.document_cookie_write(main_ctx,
+                                     "sid=main; Domain=shop.example; Path=/");
+    });
+    auto& frame = page->create_subframe(
+        net::Url::must_parse("https://static.shop.example/widget.html"));
+    const auto frame_ctx =
+        context_for_url("https://static.shop.example/widget.js");
+    std::string seen = "unset";
+    page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+      services.document_cookie_write(frame_ctx, "fw=1; Path=/");
+      seen = services.document_cookie_read(frame_ctx);
+    });
+    const auto* fpi_partition =
+        site.browser().jar_store().find("fpi:shop.example");
+    return std::tuple(seen, site.browser().jar().size(),
+                      fpi_partition != nullptr ? fpi_partition->size() : 0u);
+  };
+  EXPECT_EQ(run(PolicyKind::kNone), std::tuple(std::string("fw=1"), 1u, 0u));
+  EXPECT_EQ(run(PolicyKind::kFirstPartyIsolation),
+            std::tuple(std::string("sid=main; fw=1"), 0u, 2u));
 }
 
 TEST(PolicyBrowserTest, CookieGuardEngineJarIsIdenticalToNone) {
@@ -326,16 +379,10 @@ std::string crawl_summary(const corpus::Corpus& corpus, PolicyKind kind,
   options.threads = threads;
   options.policy = kind;
   options.metrics = metrics;
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
+  std::optional<cookieguard::Deployment> guards;
   if (kind == PolicyKind::kCookieGuard) {
-    const int workers = threads < 1 ? 1 : threads;
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
+    guards.emplace(threads);
+    options.extension_factory = guards->factory();
   }
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);

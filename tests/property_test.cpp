@@ -3,6 +3,8 @@
 // template/jar round-trips, and crawl determinism.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/analyzer.h"
 #include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
@@ -23,11 +25,17 @@ using testsupport::context_for_url;
 // For every (reader, policy) combination, is a cookie created by
 // facebook.net on shop.example visible?
 struct PolicyCase {
+  const char* name;  // the case's test-name suffix
   const char* reader_url;
   bool entity_grouping;
   bool site_owner_access;
   bool expect_visible;
 };
+
+// Test discovery names each case by its printed value. Print the case name:
+// the default dumps the struct's bytes, pointers included, so the names
+// would change from run to run.
+void PrintTo(const PolicyCase& param, std::ostream* os) { *os << param.name; }
 
 class PolicyLatticeTest : public ::testing::TestWithParam<PolicyCase> {};
 
@@ -59,17 +67,25 @@ INSTANTIATE_TEST_SUITE_P(
     EnforcementMatrix, PolicyLatticeTest,
     ::testing::Values(
         // The creator always sees its cookie, under every policy.
-        PolicyCase{"https://connect.facebook.net/f.js", false, true, true},
-        PolicyCase{"https://connect.facebook.net/f.js", true, false, true},
+        PolicyCase{"CreatorOwnerPolicy", "https://connect.facebook.net/f.js",
+                   false, true, true},
+        PolicyCase{"CreatorGroupingPolicy",
+                   "https://connect.facebook.net/f.js", true, false, true},
         // An unrelated tracker never does.
-        PolicyCase{"https://cdn.tracker.com/t.js", false, true, false},
-        PolicyCase{"https://cdn.tracker.com/t.js", true, true, false},
+        PolicyCase{"TrackerOwnerPolicy", "https://cdn.tracker.com/t.js", false,
+                   true, false},
+        PolicyCase{"TrackerBothPolicies", "https://cdn.tracker.com/t.js", true,
+                   true, false},
         // The site owner sees it iff the owner policy is on.
-        PolicyCase{"https://www.shop.example/app.js", false, true, true},
-        PolicyCase{"https://www.shop.example/app.js", false, false, false},
+        PolicyCase{"OwnerOwnerPolicy", "https://www.shop.example/app.js", false,
+                   true, true},
+        PolicyCase{"OwnerNoPolicy", "https://www.shop.example/app.js", false,
+                   false, false},
         // A same-entity domain sees it iff grouping is on.
-        PolicyCase{"https://static.fbcdn.net/chat.js", true, true, true},
-        PolicyCase{"https://static.fbcdn.net/chat.js", false, true, false}));
+        PolicyCase{"EntityBothPolicies", "https://static.fbcdn.net/chat.js",
+                   true, true, true},
+        PolicyCase{"EntityOwnerPolicy", "https://static.fbcdn.net/chat.js",
+                   false, true, false}));
 
 // ---- encoding-independent exfiltration detection -------------------------
 //

@@ -63,8 +63,9 @@ CrawlStats run(const corpus::Corpus& corpus,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto flags = cg::bench::parse_flags(argc, argv, {"threads"});
   corpus::Corpus corpus(cg::bench::default_params());
-  const int threads = cg::bench::threads_from_args(argc, argv);
+  const int threads = cg::bench::crawl_threads(flags);
   cg::bench::print_header("Ablations — DESIGN.md D1/D2/D3/D5 design knobs",
                           corpus, threads);
 

@@ -44,8 +44,9 @@ TimedCrawl run(const cg::corpus::Corpus& corpus, bool faults, int threads) {
 
 int main(int argc, char** argv) {
   using namespace cg;
+  const auto flags = bench::parse_flags(argc, argv, {"threads"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header("Crawl resilience — fault injection + retry overhead",
                       corpus, threads);
 

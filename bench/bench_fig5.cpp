@@ -10,8 +10,9 @@
 
 int main(int argc, char** argv) {
   using namespace cg;
+  const auto flags = bench::parse_flags(argc, argv, {"threads"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header(
       "Figure 5 — cross-domain actions, regular browser vs CookieGuard",
       corpus, threads);

@@ -39,8 +39,9 @@ double crawl_sites_per_sec(const corpus::Corpus& corpus,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto flags = bench::parse_flags(argc, argv, {"threads"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header("observability overhead (src/obs/)", corpus, threads);
 
   // 1. Disabled path — what every non-traced crawl pays. One untimed
@@ -98,18 +99,16 @@ int main(int argc, char** argv) {
   }
 
   // Regression gate against a recorded pre-obs baseline, when provided.
-  if (const char* env = std::getenv("CG_BASELINE_SITES_PER_SEC")) {
-    const double baseline = std::atof(env);
-    if (baseline > 0) {
-      const double regression = 100.0 * (baseline - off) / baseline;
-      std::printf("\n  vs baseline %.1f sites/sec: %+.1f%% (gate: <2%% loss)\n",
-                  baseline, -regression);
-      if (regression > 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: tracing-off crawl regressed %.1f%% vs baseline\n",
-                     regression);
-        return 1;
-      }
+  const double baseline = cli::env_double("CG_BASELINE_SITES_PER_SEC", 0);
+  if (baseline > 0) {
+    const double regression = 100.0 * (baseline - off) / baseline;
+    std::printf("\n  vs baseline %.1f sites/sec: %+.1f%% (gate: <2%% loss)\n",
+                baseline, -regression);
+    if (regression > 2.0) {
+      std::fprintf(stderr,
+                   "FAIL: tracing-off crawl regressed %.1f%% vs baseline\n",
+                   regression);
+      return 1;
     }
   }
   return 0;

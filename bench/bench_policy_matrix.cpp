@@ -166,8 +166,9 @@ void print_matrix(const std::vector<MatrixRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto flags = bench::parse_flags(argc, argv, {"threads"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header(
       "Defense bake-off — CookieGuard vs FPI vs CHIPS vs none "
       "(Tables 3/4/5 per policy)",

@@ -10,17 +10,19 @@
 
 int main(int argc, char** argv) {
   using namespace cg;
+  const auto flags = bench::parse_flags(
+      argc, argv, {"threads", "policy", "trace", "trace-detail"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header(
       "§5.1 / §5.6 — prevalence of third-party scripts in the main frame",
       corpus, threads);
 
   analysis::Analyzer analyzer(corpus.entities());
-  const auto trace = bench::trace_recorder_from_args(argc, argv);
-  bench::run_measurement_crawl(corpus, analyzer,
-                               /*with_faults=*/true, threads, trace.get(),
-                               bench::policy_from_args(argc, argv));
+  const auto trace = cli::open_trace(flags, "CG_TRACE");
+  bench::run_measurement_crawl(corpus, analyzer, /*with_faults=*/true,
+                               threads, trace.recorder.get(),
+                               bench::crawl_policy(flags));
 
   const auto& t = analyzer.totals();
   const double crawled = t.sites_crawled;

@@ -103,25 +103,13 @@ double percentile(std::vector<double> values, double p) {
   return values[std::min(i, values.size() - 1)];
 }
 
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || *end != '\0' || v < 0) {
-      std::fprintf(stderr, "error: %s must be a non-negative number\n", name);
-      std::exit(2);
-    }
-    return v;
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace cg;
+  const auto flags = bench::parse_flags(argc, argv, {"threads"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header("Serving tier — cgserve throughput / latency / identity",
                       corpus, threads);
 
@@ -194,10 +182,8 @@ int main(int argc, char** argv) {
   // of the spec), so hash vectors are comparable index-by-index.
   serve::WorkloadSpec spec;
   spec.site_count = corpus.size();
-  const auto query_count = static_cast<std::size_t>(bench::require_int(
-      std::getenv("CG_SERVE_QUERIES") ? std::getenv("CG_SERVE_QUERIES")
-                                      : "20000",
-      "CG_SERVE_QUERIES", 1, INT_MAX));
+  const auto query_count =
+      static_cast<std::size_t>(cli::env_int("CG_SERVE_QUERIES", 20000, 1));
   const std::vector<serve::Query> queries =
       serve::WorkloadGenerator(spec).generate(query_count);
 
@@ -224,8 +210,8 @@ int main(int argc, char** argv) {
   const double p99_ms = percentile(measured.site_latencies_s, 0.99) * 1e3;
   const serve::BlockCache::Stats cache = server->cache().stats();
 
-  const double min_qps = env_double("CG_SERVE_MIN_QPS", 1000.0);
-  const double max_p99_ms = env_double("CG_SERVE_MAX_P99_MS", 10.0);
+  const double min_qps = cli::env_double("CG_SERVE_MIN_QPS", 1000.0);
+  const double max_p99_ms = cli::env_double("CG_SERVE_MAX_P99_MS", 10.0);
   const bool qps_ok = qps >= min_qps;
   const bool p99_ok = p99_ms <= max_p99_ms;
 

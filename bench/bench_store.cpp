@@ -138,8 +138,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 int main(int argc, char** argv) {
   using namespace cg;
+  const auto flags = bench::parse_flags(argc, argv, {"threads"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header("CGAR store — write/read throughput and size vs JSON",
                       corpus, threads);
 

@@ -13,15 +13,16 @@
 int main(int argc, char** argv) {
   using namespace cg;
   using cookies::CookieSource;
+  const auto flags = bench::parse_flags(argc, argv, {"threads", "policy"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header("Table 1 — prevalence of cross-domain cookie actions",
                       corpus, threads);
 
   analysis::Analyzer analyzer(corpus.entities());
   bench::run_measurement_crawl(corpus, analyzer,
                                /*with_faults=*/true, threads, nullptr,
-                               bench::policy_from_args(argc, argv));
+                               bench::crawl_policy(flags));
 
   const auto& t = analyzer.totals();
   const double n = t.sites_complete;

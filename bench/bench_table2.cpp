@@ -22,15 +22,16 @@ std::string top3(const std::map<std::string, int>& counts) {
 
 int main(int argc, char** argv) {
   using namespace cg;
+  const auto flags = bench::parse_flags(argc, argv, {"threads", "policy"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header(
       "Table 2 — top 20 cookies exfiltrated by cross-domain scripts", corpus, threads);
 
   analysis::Analyzer analyzer(corpus.entities());
   bench::run_measurement_crawl(corpus, analyzer,
                                /*with_faults=*/true, threads, nullptr,
-                               bench::policy_from_args(argc, argv));
+                               bench::crawl_policy(flags));
 
   std::printf("\n  %-22s %-22s %6s %6s  %-34s %s\n", "cookie", "owner domain",
               "#exfil", "#dest", "top exfiltrator entities",

@@ -16,12 +16,13 @@
 int main(int argc, char** argv) {
   using namespace cg;
   using breakage::GuardMode;
+  const auto flags = bench::parse_flags(argc, argv, {"policy"});
   corpus::Corpus corpus(bench::default_params());
   bench::print_header("Table 3 — website breakage under CookieGuard", corpus);
   // --policy/CG_POLICY pairs each deployment with a partitioning engine;
   // cookieguard's engine is jar-identical to none, so Table 3 reproduces
   // exactly under it (the bake-off matrix exercises fpi/chips).
-  const auto policy = bench::policy_from_args(argc, argv);
+  const auto policy = bench::crawl_policy(flags);
 
   breakage::BreakageEvaluator evaluator(corpus);
   const auto sample = evaluator.sample_sites(

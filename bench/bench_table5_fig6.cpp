@@ -25,15 +25,16 @@ std::string top3(const std::map<std::string, int>& counts) {
 
 int main(int argc, char** argv) {
   using namespace cg;
+  const auto flags = bench::parse_flags(argc, argv, {"threads", "policy"});
   corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const int threads = bench::crawl_threads(flags);
   bench::print_header(
       "Table 5 / Figure 6 — cross-domain overwriting and deletion", corpus, threads);
 
   analysis::Analyzer analyzer(corpus.entities());
   bench::run_measurement_crawl(corpus, analyzer,
                                /*with_faults=*/true, threads, nullptr,
-                               bench::policy_from_args(argc, argv));
+                               bench::crawl_policy(flags));
   const auto& t = analyzer.totals();
 
   std::printf("\n-- §5.5 attributes changed by cross-domain overwrites --\n");

@@ -8,25 +8,26 @@
 // Crawls shard across worker threads (`--threads N` argument, CG_THREADS
 // env, default: all hardware threads) — byte-identical output at any
 // thread count, see src/runtime/. Pass `--trace FILE` to any bench using
-// trace_recorder_from_args to export the crawl as Chrome trace-event JSON.
+// cli::open_trace to export the crawl as Chrome trace-event JSON.
 //
-// Malformed CG_SITES / CG_THREADS / --threads values are a hard error, not
-// a silent fallback: a bench that quietly ran with the wrong corpus size
-// has produced hours of wrong numbers before anyone notices.
+// Flags parse through src/cli/, as cgsim's do. An unknown flag or a
+// malformed CG_SITES / CG_THREADS / --threads value is a hard error, not a
+// silent fallback: a bench that quietly ran with the wrong corpus size has
+// produced hours of wrong numbers before anyone notices.
 #pragma once
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
+#include "cli/flags.h"
 #include "cookieguard/deployment.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
@@ -37,112 +38,34 @@
 
 namespace cg::bench {
 
-/// Strict integer parse: the whole string must be a base-10 integer in
-/// [min, max]. Exits with a clear message naming `what` otherwise.
-inline int require_int(const char* text, const char* what, int min_value,
-                       int max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < min_value ||
-      value > max_value) {
-    std::fprintf(stderr,
-                 "error: %s must be an integer in [%d, %d], got \"%s\"\n",
-                 what, min_value, max_value, text);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
-}
-
-inline int corpus_sites_from_env(int fallback = 20000) {
-  if (const char* env = std::getenv("CG_SITES")) {
-    return require_int(env, "CG_SITES", 1, INT_MAX);
-  }
-  return fallback;
+/// The bench's command line, accepting only the value flags in `values`
+/// (of threads, policy, trace, trace-detail). Anything else exits 2 with an
+/// "error: " message, like a malformed CG_* setting.
+inline cli::Flags parse_flags(int argc, char** argv,
+                              std::vector<std::string_view> values) {
+  return cli::Flags::parse("error", argc, argv, 1,
+                           {.values = std::move(values)});
 }
 
 inline corpus::CorpusParams default_params() {
   corpus::CorpusParams params;
-  params.site_count = corpus_sites_from_env();
+  params.site_count = cli::env_int("CG_SITES", 20000, 1);
   return params;
 }
 
 /// Worker threads for the measurement crawl: `--threads N` wins, then
 /// CG_THREADS=<n>, else every hardware thread. 0 means all hardware
-/// threads; non-numeric or negative values abort.
-inline int threads_from_args(int argc = 0, char** argv = nullptr) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      const int n = require_int(argv[i + 1], "--threads", 0, INT_MAX);
-      return n > 0 ? n : runtime::ThreadPool::hardware_threads();
-    }
-  }
-  if (const char* env = std::getenv("CG_THREADS")) {
-    const int n = require_int(env, "CG_THREADS", 0, INT_MAX);
-    return n > 0 ? n : runtime::ThreadPool::hardware_threads();
-  }
-  return runtime::ThreadPool::hardware_threads();
+/// threads.
+inline int crawl_threads(const cli::Flags& flags) {
+  const int n = flags.get_int("threads", 0, 0, INT_MAX, "CG_THREADS");
+  return n > 0 ? n : runtime::ThreadPool::hardware_threads();
 }
 
 /// Partitioning engine for the defense bake-off: `--policy NAME` wins, then
 /// CG_POLICY=<name>, else none. Accepts the cgsim grammar
-/// (none/cookieguard/fpi/chips); anything else aborts — a bench that
-/// silently fell back to the wrong defense has produced hours of wrong
-/// numbers before anyone notices.
-inline policy::PolicyKind policy_from_args(int argc = 0,
-                                           char** argv = nullptr) {
-  const char* name = std::getenv("CG_POLICY");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--policy") == 0) name = argv[i + 1];
-  }
-  if (name == nullptr) return policy::PolicyKind::kNone;
-  const auto kind = policy::parse_policy(name);
-  if (!kind) {
-    std::fprintf(stderr,
-                 "error: --policy/CG_POLICY must be none, cookieguard, fpi, "
-                 "or chips, got \"%s\"\n",
-                 name);
-    std::exit(2);
-  }
-  return *kind;
-}
-
-/// A streaming TraceRecorder for `--trace FILE` (or CG_TRACE=FILE), or null
-/// when tracing was not requested. Wire the result into
-/// CrawlOptions::trace / run_measurement_crawl; the file is finished when
-/// the recorder is destroyed. `--trace-detail full` upgrades from the
-/// crawl-level default.
-struct BenchTrace {
-  // Heap-held so the recorder's stream pointer survives moves of this
-  // struct (declared before `recorder` so the stream outlives finish()).
-  std::unique_ptr<std::ofstream> out;
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  obs::TraceRecorder* get() const { return recorder.get(); }
-};
-
-inline BenchTrace trace_recorder_from_args(int argc = 0,
-                                           char** argv = nullptr) {
-  BenchTrace trace;
-  const char* path = std::getenv("CG_TRACE");
-  obs::TraceConfig config;
-  config.detail = obs::Detail::kCrawl;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--trace-detail") == 0 && i + 1 < argc &&
-               std::strcmp(argv[i + 1], "full") == 0) {
-      config.detail = obs::Detail::kFull;
-    }
-  }
-  if (path == nullptr) return trace;
-  trace.out = std::make_unique<std::ofstream>(path);
-  if (!*trace.out) {
-    std::fprintf(stderr, "error: cannot open trace file %s\n", path);
-    std::exit(2);
-  }
-  trace.recorder =
-      std::make_unique<obs::TraceRecorder>(config, trace.out.get());
-  return trace;
+/// (none/cookieguard/fpi/chips).
+inline policy::PolicyKind crawl_policy(const cli::Flags& flags) {
+  return cli::policy_kind(flags, "CG_POLICY");
 }
 
 inline void print_header(const char* title, const corpus::Corpus& corpus,

@@ -247,10 +247,16 @@ TEST_F(CookieJarTest, PartitionedRequiresSecure) {
 
 // Parameterized sweep: path-matching truth table (RFC 6265 §5.1.4).
 struct PathCase {
+  const char* name;  // the case's test-name suffix
   const char* request_path;
   const char* cookie_path;
   bool match;
 };
+
+// Test discovery names each case by its printed value. Print the case name:
+// the default dumps the struct's bytes, pointers included, so the names
+// would change from build to build.
+void PrintTo(const PathCase& param, std::ostream* os) { *os << param.name; }
 
 class PathMatchTest : public ::testing::TestWithParam<PathCase> {};
 
@@ -270,14 +276,14 @@ TEST_P(PathMatchTest, Matches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Rfc6265PathMatching, PathMatchTest,
-    ::testing::Values(PathCase{"/", "/", true},
-                      PathCase{"/a", "/", true},
-                      PathCase{"/a/b", "/a", true},
-                      PathCase{"/a/b", "/a/", true},
-                      PathCase{"/ab", "/a", false},
-                      PathCase{"/a", "/a/b", false},
-                      PathCase{"/a/b/c", "/a/b", true},
-                      PathCase{"/x", "/a", false}));
+    ::testing::Values(PathCase{"RootUnderRoot", "/", "/", true},
+                      PathCase{"ChildUnderRoot", "/a", "/", true},
+                      PathCase{"ChildUnderDir", "/a/b", "/a", true},
+                      PathCase{"ChildUnderDirSlash", "/a/b", "/a/", true},
+                      PathCase{"PrefixSiblingRejected", "/ab", "/a", false},
+                      PathCase{"ParentRejected", "/a", "/a/b", false},
+                      PathCase{"GrandchildUnderDir", "/a/b/c", "/a/b", true},
+                      PathCase{"UnrelatedRejected", "/x", "/a", false}));
 
 }  // namespace
 }  // namespace cg::cookies

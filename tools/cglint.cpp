@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "lint/config.h"
 #include "lint/linter.h"
 #include "lint/sarif.h"
@@ -91,12 +92,9 @@ int main(int argc, char** argv) {
       write_baseline_file = v;
     } else if (arg == "--max-ms") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      try {
-        max_ms = std::stod(v);
-      } catch (...) {
-        return usage(argv[0]);
-      }
+      const auto ms = v == nullptr ? std::nullopt : cg::cli::parse_double(v);
+      if (!ms) return usage(argv[0]);
+      max_ms = *ms;
     } else if (arg == "--census") {
       census = true;
     } else if (arg == "--quiet") {

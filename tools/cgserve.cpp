@@ -14,12 +14,12 @@
 // clean for consumers.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "obs/metrics.h"
 #include "report/json.h"
 #include "serve/server.h"
@@ -30,14 +30,6 @@ using cg::serve::Query;
 using cg::serve::Server;
 using cg::serve::ServerConfig;
 
-struct Options {
-  std::vector<std::string> archives;
-  std::vector<std::string> queries;  // one-shot; empty -> stdin REPL
-  std::string metrics_path;          // --metrics FILE: serve.* counters JSON
-  bool timing = false;               // --timing: per-query latency to stderr
-  std::size_t cache_entries = 4096;  // --cache-entries N (0 disables)
-};
-
 int usage() {
   std::fprintf(stderr,
                "usage: cgserve --archive FILE [--archive FILE...]\n"
@@ -47,29 +39,6 @@ int usage() {
                "         | top-domains [n] | entity <name> | stats\n"
                "         | waves [domain]   (base+delta archive chains)\n");
   return 2;
-}
-
-bool parse_args(int argc, char** argv, Options* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--timing") {
-      out->timing = true;
-    } else if (arg == "--archive" && i + 1 < argc) {
-      out->archives.emplace_back(argv[++i]);
-    } else if (arg == "--query" && i + 1 < argc) {
-      out->queries.emplace_back(argv[++i]);
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      out->metrics_path = argv[++i];
-    } else if (arg == "--cache-entries" && i + 1 < argc) {
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 0) return false;
-      out->cache_entries = static_cast<std::size_t>(n);
-    } else {
-      return false;
-    }
-  }
-  return !out->archives.empty();
 }
 
 /// Answers one protocol line. Parse failures are answered (as JSON errors),
@@ -100,14 +69,22 @@ void answer(const Server& server, const std::string& line, bool timing) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options options;
-  if (!parse_args(argc, argv, &options)) return usage();
+  // --query LINE runs one-shot queries (none: a stdin REPL); --timing
+  // prints per-query latency to stderr; --metrics FILE writes the serve.*
+  // counters; --cache-entries N sizes the block cache (0 disables it).
+  const auto flags = cg::cli::Flags::parse(
+      "cgserve", argc, argv, 1,
+      {.values = {"archive", "query", "metrics", "cache-entries"},
+       .switches = {"timing"}});
+  if (!flags.has("archive")) return usage();
+  const bool timing = flags.has("timing");
 
   ServerConfig config;
-  config.cache.max_entries = options.cache_entries;
+  config.cache.max_entries =
+      static_cast<std::size_t>(flags.get_int("cache-entries", 4096, 0));
 
   cg::store::Error error;
-  const auto server = Server::open(options.archives, config, &error);
+  const auto server = Server::open(flags.all("archive"), config, &error);
   if (server == nullptr) {
     std::fprintf(stderr, "cgserve: cannot serve: %s\n",
                  error.to_string().c_str());
@@ -116,27 +93,26 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "cgserve: serving %d sites from %d archive(s)\n",
                server->site_count(), server->archive_count());
 
-  if (!options.queries.empty()) {
-    for (const std::string& line : options.queries) {
-      answer(*server, line, options.timing);
+  if (flags.has("query")) {
+    for (const std::string& line : flags.all("query")) {
+      answer(*server, line, timing);
     }
   } else {
     std::string line;
     while (std::getline(std::cin, line)) {
       if (line == "quit" || line == "exit") break;
       if (line.empty()) continue;
-      answer(*server, line, options.timing);
+      answer(*server, line, timing);
     }
   }
 
-  if (!options.metrics_path.empty()) {
+  if (const auto path = flags.find("metrics")) {
     cg::obs::MetricsRegistry registry;
     server->export_metrics(registry);
-    std::ofstream out(options.metrics_path);
+    std::ofstream out(path->text);
     out << registry.to_json().dump(2) << "\n";
     if (!out) {
-      std::fprintf(stderr, "cgserve: cannot write %s\n",
-                   options.metrics_path.c_str());
+      std::fprintf(stderr, "cgserve: cannot write %s\n", path->text.c_str());
       return 1;
     }
   }

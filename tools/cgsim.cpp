@@ -1,24 +1,11 @@
 // cgsim: command-line driver for the CookieGuard simulator.
 //
-//   cgsim crawl    [--sites N] [--threads T] [--guard] [--no-faults]
-//                  [--policy none|cookieguard|fpi|chips]
-//                  [--stream] [--wave W] [--evo-seed S] [--totals-only]
-//                  [--json FILE] [--pairs-csv FILE] [--domains-csv FILE]
-//                  [--health FILE] [--checkpoint FILE] [--checkpoint-every N]
-//                  [--resume FILE]
-//                  [--trace FILE] [--trace-detail crawl|full]
-//                  [--trace-wall-clock] [--metrics FILE]
-//                  [--runtime-metrics FILE]
-//   cgsim audit    [--sites N] --site INDEX
-//   cgsim breakage [--sites N] [--sample K]
-//   cgsim perf     [--sites N] [--threads T]
-//   cgsim trace-check FILE
-//   cgsim pack     [--sites N] [--threads T] [--no-faults] --out FILE
-//                  [--guard] [--policy none|cookieguard|fpi|chips]
-//                  [--wave W] [--evo-seed S]
-//                  [--base FILE[,FILE...]]
-//                  [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
-//                  [--scrub] [--metrics FILE]
+//   cgsim crawl | pack | query | audit | breakage | perf  [--flag ...]
+//   cgsim verify-archive FILE | trace-check FILE
+//
+// main() declares the flags each command accepts, parsed by src/cli/: an
+// unknown flag, a value flag with no value, or a malformed number exits 2
+// naming the flag (the message lists the flags the command accepts).
 //
 // --policy selects the cookie-partitioning engine for the defense bake-off
 // (src/policy/): none is the status-quo jar and byte-identical to omitting
@@ -28,9 +15,6 @@
 // cannot be combined with --policy fpi or chips). The active policy is
 // recorded in the CGAR footer, hard provenance like the corpus and fault
 // seeds.
-//   cgsim query    --archive FILE[,FILE...] [--wave W] [--site RANK]
-//                  [--json FILE] [--pairs-csv FILE] [--domains-csv FILE]
-//   cgsim verify-archive FILE
 //
 // pack runs the measurement crawl once and streams it into a CGAR archive
 // (src/store/) — crawl once, analyze many times. query replays an archive
@@ -72,12 +56,8 @@
 //
 // Everything the benches compute, behind one adoptable binary with
 // machine-readable output.
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -91,6 +71,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "breakage/breakage.h"
+#include "cli/flags.h"
 #include "cookieguard/deployment.h"
 #include "corpus/corpus.h"
 #include "corpus/streaming_corpus.h"
@@ -98,7 +79,6 @@
 #include "entities/entity_map.h"
 #include "evolve/wave_corpus.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "perf/perf.h"
 #include "policy/partition_policy.h"
 #include "report/report.h"
@@ -115,63 +95,10 @@ namespace {
 
 using namespace cg;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-
-  bool has(const std::string& key) const { return options.count(key) != 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  /// The whole value as a base-10 integer in [min_value, INT_MAX]; anything
-  /// else exits 2 naming the flag, so `--sites abc` never crawls 0 sites.
-  int get_int(const std::string& key, int fallback, int min_value = 0) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const char* text = it->second.c_str();
-    errno = 0;
-    char* end = nullptr;
-    const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        value < min_value || value > INT_MAX) {
-      std::fprintf(stderr,
-                   "cgsim: --%s must be an integer in [%d, %d], got \"%s\"\n",
-                   key.c_str(), min_value, INT_MAX, text);
-      std::exit(2);
-    }
-    return static_cast<int>(value);
-  }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc > 1) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    // Flags without values: --guard
-    // Built locally then moved in: a char* assign through the map's
-    // operator[] trips the GCC 12 -Wrestrict false positive (PR 105329).
-    std::string value = "1";
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      value.assign(argv[++i]);
-    }
-    args.options[key] = std::move(value);
-  }
-  return args;
-}
-
-corpus::Corpus make_corpus(const Args& args) {
+corpus::CorpusParams corpus_params(const cli::Flags& flags) {
   corpus::CorpusParams params;
-  params.site_count = args.get_int("sites", 2000, 1);
-  return corpus::Corpus(params);
-}
-
-std::uint64_t parse_u64(const std::string& text, std::uint64_t fallback) {
-  if (text.empty()) return fallback;
-  return std::strtoull(text.c_str(), nullptr, 0);  // decimal or 0x hex
+  params.site_count = flags.get_int("sites", 2000, 1);
+  return params;
 }
 
 /// Comma-separated path list (for --base / --archive chains).
@@ -203,28 +130,6 @@ store::ArchivePolicy to_archive_policy(policy::PolicyKind kind) {
   return store::ArchivePolicy::kNone;
 }
 
-/// The crawl's partitioning policy: --policy NAME, default none. --guard is
-/// an alias for --policy cookieguard. Prints why and returns nullopt on a
-/// bad name or on --guard with another defense.
-std::optional<policy::PolicyKind> policy_from_args(const Args& args) {
-  const auto kind = policy::parse_policy(args.get("policy", "none"));
-  if (!kind) {
-    std::fprintf(stderr,
-                 "cgsim: --policy must be none, cookieguard, fpi, or chips\n");
-    return std::nullopt;
-  }
-  if (!args.has("guard")) return kind;
-  if (*kind != policy::PolicyKind::kNone &&
-      *kind != policy::PolicyKind::kCookieGuard) {
-    std::fprintf(stderr,
-                 "cgsim: --guard means --policy cookieguard; it cannot be "
-                 "combined with --policy %s\n",
-                 std::string(policy::to_string(*kind)).c_str());
-    return std::nullopt;
-  }
-  return policy::PolicyKind::kCookieGuard;
-}
-
 /// Peak resident set size in KiB (0 where unsupported). Reported on stderr
 /// only — stdout stays byte-deterministic.
 long peak_rss_kib() {
@@ -236,18 +141,20 @@ long peak_rss_kib() {
 }
 
 /// The corpus provider a crawl/pack run uses: materialized by default,
-/// streaming under --stream, wave-evolved under --wave/--evo-seed. All
-/// three produce byte-identical blueprints for the same (seed, wave).
-std::unique_ptr<corpus::CorpusView> make_corpus_view(const Args& args) {
-  corpus::CorpusParams params;
-  params.site_count = args.get_int("sites", 2000, 1);
-  if (args.has("wave") || args.has("evo-seed")) {
+/// streaming under --stream, wave-evolved under --wave/--evo-seed (whose
+/// seed lands in `evolution_seed`). All three produce byte-identical
+/// blueprints for the same (seed, wave).
+std::unique_ptr<corpus::CorpusView> make_corpus_view(
+    const cli::Flags& flags, std::uint64_t* evolution_seed = nullptr) {
+  const corpus::CorpusParams params = corpus_params(flags);
+  if (flags.has("wave") || flags.has("evo-seed")) {
     evolve::EvolutionParams evolution;
-    evolution.seed = parse_u64(args.get("evo-seed", ""), evolution.seed);
+    evolution.seed = flags.get_u64("evo-seed", evolution.seed);
+    if (evolution_seed != nullptr) *evolution_seed = evolution.seed;
     return std::make_unique<evolve::WaveCorpus>(params, evolution,
-                                                args.get_int("wave", 0));
+                                                flags.get_int("wave", 0, 0));
   }
-  if (args.has("stream")) {
+  if (flags.has("stream")) {
     return std::make_unique<corpus::StreamingCorpus>(params);
   }
   return std::make_unique<corpus::Corpus>(params);
@@ -294,10 +201,19 @@ bool write_output(const std::string& path, const std::string& contents) {
   return true;
 }
 
+/// Writes `json` to the file --`flag` names, if it names one. False when
+/// that write failed.
+bool write_json_output(const cli::Flags& flags, std::string_view flag,
+                       const report::Json& json) {
+  const auto path = flags.find(flag);
+  return !path || write_output(path->text, json.dump(2) + '\n');
+}
+
 /// Summary lines + optional machine-readable outputs, shared by the live
 /// crawl and the analyze-from-archive path so their stdout is diffable.
 /// False when a requested output file could not be written.
-bool print_analysis(const Args& args, const analysis::Analyzer& analyzer) {
+bool print_analysis(const cli::Flags& flags,
+                    const analysis::Analyzer& analyzer) {
   const auto& t = analyzer.totals();
   const double n = t.sites_complete;
   std::printf("sites analyzed: %d\n", t.sites_complete);
@@ -306,30 +222,27 @@ bool print_analysis(const Args& args, const analysis::Analyzer& analyzer) {
               100.0 * t.sites_doc_exfil / n, 100.0 * t.sites_doc_overwrite / n,
               100.0 * t.sites_doc_delete / n);
 
-  bool ok = true;
-  if (args.has("json")) {
-    std::ostringstream out;
-    out << report::summary_to_json(analyzer, 20).dump(2) << '\n';
-    ok = write_output(args.get("json", "summary.json"), out.str()) && ok;
-  }
-  if (args.has("pairs-csv")) {
+  bool ok = write_json_output(flags, "json",
+                              report::summary_to_json(analyzer, 20));
+  if (const auto path = flags.find("pairs-csv")) {
     std::ostringstream out;
     report::write_pairs_csv(analyzer, 20, out);
-    ok = write_output(args.get("pairs-csv", "pairs.csv"), out.str()) && ok;
+    ok = write_output(path->text, out.str()) && ok;
   }
-  if (args.has("domains-csv")) {
+  if (const auto path = flags.find("domains-csv")) {
     std::ostringstream out;
     report::write_domains_csv(analyzer, 20, out);
-    ok = write_output(args.get("domains-csv", "domains.csv"), out.str()) && ok;
+    ok = write_output(path->text, out.str()) && ok;
   }
   return ok;
 }
 
-/// Loads a crawl checkpoint, ignoring (and warning about) a leftover
-/// `<path>.tmp` from an interrupted atomic write — its contents were never
-/// promoted to truth, so `path` itself is the trustworthy state.
-std::optional<crawler::CrawlCheckpoint> load_checkpoint(
-    const std::string& path) {
+/// The --resume checkpoint, checked against the corpus it must continue;
+/// nullopt (reason on stderr) when it cannot be used. A leftover
+/// `<path>.tmp` from an interrupted atomic write was never promoted to
+/// truth, so it is ignored with a warning.
+std::optional<crawler::CrawlCheckpoint> load_resume(
+    const std::string& path, const corpus::CorpusView& corpus) {
   std::string tmp = path;
   tmp += store::kAtomicTmpSuffix;
   std::error_code tmp_ec;
@@ -352,6 +265,12 @@ std::optional<crawler::CrawlCheckpoint> load_checkpoint(
   auto checkpoint = crawler::CrawlCheckpoint::from_json_string(text);
   if (!checkpoint) {
     std::fprintf(stderr, "cgsim: cannot parse checkpoint %s\n", path.c_str());
+    return std::nullopt;
+  }
+  if (checkpoint->corpus_seed != corpus.params().seed ||
+      checkpoint->target_count > corpus.size()) {
+    std::fprintf(stderr, "cgsim: checkpoint does not match this corpus\n");
+    return std::nullopt;
   }
   return checkpoint;
 }
@@ -371,75 +290,68 @@ std::function<void(const crawler::CrawlCheckpoint&)> checkpoint_writer(
   };
 }
 
-int cmd_crawl(const Args& args) {
-  const std::unique_ptr<corpus::CorpusView> corpus_view(make_corpus_view(args));
+/// The crawl set-up crawl and pack share: --threads, --no-faults, the
+/// partitioning policy, and a checkpoint to --checkpoint FILE every
+/// --checkpoint-every N sites. --guard is an alias for --policy cookieguard
+/// and exits 2 beside another defense. Under cookieguard every crawl worker
+/// runs a CookieGuard held in `guards`, which must outlive the crawl.
+crawler::CrawlOptions crawl_options(
+    const cli::Flags& flags, std::optional<cookieguard::Deployment>* guards) {
+  crawler::CrawlOptions options;
+  options.threads = flags.get_int("threads", 1, 0);
+  if (flags.has("no-faults")) options.fault_plan.reset();
+  options.policy = cli::policy_kind(flags);
+  if (flags.has("guard")) {
+    if (options.policy != policy::PolicyKind::kNone &&
+        options.policy != policy::PolicyKind::kCookieGuard) {
+      flags.fail("--guard means --policy cookieguard; it cannot be combined "
+                 "with --policy " +
+                 std::string(policy::to_string(options.policy)));
+    }
+    options.policy = policy::PolicyKind::kCookieGuard;
+  }
+  if (options.policy == policy::PolicyKind::kCookieGuard) {
+    guards->emplace(options.threads);
+    options.extension_factory = (*guards)->factory();
+  }
+  // Crash-safe progress: persist a checkpoint every N sites; --resume
+  // continues a killed run from the persisted file.
+  if (const auto path = flags.find("checkpoint")) {
+    options.checkpoint_interval = flags.get_int("checkpoint-every", 100, 0);
+    options.on_checkpoint = checkpoint_writer(path->text);
+  }
+  return options;
+}
+
+int cmd_crawl(const cli::Flags& flags) {
+  const std::unique_ptr<corpus::CorpusView> corpus_view(
+      make_corpus_view(flags));
   const corpus::CorpusView& corpus = *corpus_view;
   crawler::Crawler crawler(corpus);
   analysis::AnalyzerOptions analyzer_options;
-  analyzer_options.totals_only = args.has("totals-only");
+  analyzer_options.totals_only = flags.has("totals-only");
   analysis::Analyzer analyzer(corpus.entities(), analyzer_options);
 
-  crawler::CrawlOptions options;
-  options.threads = args.get_int("threads", 1);
-  if (args.has("no-faults")) options.fault_plan.reset();
-  const auto policy_kind = policy_from_args(args);
-  if (!policy_kind) return 2;
-  options.policy = *policy_kind;
   std::optional<cookieguard::Deployment> guards;
-  if (options.policy == policy::PolicyKind::kCookieGuard) {
-    guards.emplace(options.threads);
-    options.extension_factory = guards->factory();
-  }
+  crawler::CrawlOptions options = crawl_options(flags, &guards);
 
   // Observability: stream the trace straight to disk (a 20k-site trace need
   // not fit in memory); metrics registries fold site-by-site and are
   // serialized once at the end.
-  std::ofstream trace_out;
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  if (args.has("trace")) {
-    const std::string detail = args.get("trace-detail", "crawl");
-    if (detail != "crawl" && detail != "full") {
-      std::fprintf(stderr, "cgsim: --trace-detail must be crawl or full\n");
-      return 2;
-    }
-    const std::string trace_path = args.get("trace", "trace.json");
-    trace_out.open(trace_path);
-    if (!trace_out) {
-      std::fprintf(stderr, "cgsim: cannot open %s\n", trace_path.c_str());
-      return 1;
-    }
-    obs::TraceConfig config;
-    config.detail =
-        detail == "full" ? obs::Detail::kFull : obs::Detail::kCrawl;
-    config.capture_wall_clock = args.has("trace-wall-clock");
-    recorder = std::make_unique<obs::TraceRecorder>(config, &trace_out);
-    options.trace = recorder.get();
-  }
+  const cli::TraceFile trace = cli::open_trace(flags);
+  options.trace = trace.recorder.get();
   obs::MetricsRegistry metrics;
   obs::MetricsRegistry scheduler_metrics;
-  if (args.has("metrics")) options.metrics = &metrics;
-  if (args.has("runtime-metrics")) {
+  if (flags.has("metrics")) options.metrics = &metrics;
+  if (flags.has("runtime-metrics")) {
     options.scheduler_metrics = &scheduler_metrics;
-  }
-
-  // Crash-safe progress: persist a checkpoint every N sites; --resume
-  // continues a killed crawl from the persisted file.
-  const std::string checkpoint_path = args.get("checkpoint", "");
-  if (!checkpoint_path.empty()) {
-    options.checkpoint_interval = args.get_int("checkpoint-every", 100);
-    options.on_checkpoint = checkpoint_writer(checkpoint_path);
   }
 
   const auto sink = [&](instrument::VisitLog&& log) { analyzer.ingest(log); };
   crawler::CrawlHealth health;
-  if (args.has("resume")) {
-    const auto checkpoint = load_checkpoint(args.get("resume", ""));
+  if (const auto resume = flags.find("resume")) {
+    const auto checkpoint = load_resume(resume->text, corpus);
     if (!checkpoint) return 1;
-    if (checkpoint->corpus_seed != corpus.params().seed ||
-        checkpoint->target_count > corpus.size()) {
-      std::fprintf(stderr, "cgsim: checkpoint does not match this corpus\n");
-      return 1;
-    }
     std::printf("resuming at site %d of %d...\n", checkpoint->next_index,
                 checkpoint->target_count);
     health = crawler.resume(*checkpoint, options, sink);
@@ -451,42 +363,30 @@ int cmd_crawl(const Args& args) {
       note += " under policy ";
       note += policy::to_string(options.policy);
     }
-    if (args.has("wave") || args.has("evo-seed")) {
+    if (flags.has("wave") || flags.has("evo-seed")) {
       note += " at wave ";
-      note += std::to_string(args.get_int("wave", 0));
-    } else if (args.has("stream")) {
+      note += std::to_string(flags.get_int("wave", 0, 0));
+    } else if (flags.has("stream")) {
       note += " (streaming)";
     }
     std::printf("crawling %d sites%s...\n", corpus.size(), note.c_str());
     health = crawler.crawl(corpus.size(), options, sink);
   }
 
-  if (recorder != nullptr) {
-    recorder->finish();
-    trace_out.flush();
-    if (!trace_out.good()) {
-      std::fprintf(stderr, "cgsim: writing %s failed\n",
-                   args.get("trace", "trace.json").c_str());
+  if (trace.recorder != nullptr) {
+    trace.recorder->finish();
+    trace.out->flush();
+    if (!trace.out->good()) {
+      std::fprintf(stderr, "cgsim: writing %s failed\n", trace.path.c_str());
       return 1;
     }
-    std::printf("wrote %s (%zu trace events)\n",
-                args.get("trace", "trace.json").c_str(),
-                recorder->event_count());
+    std::printf("wrote %s (%zu trace events)\n", trace.path.c_str(),
+                trace.recorder->event_count());
   }
-  if (args.has("metrics")) {
-    std::ostringstream out;
-    out << metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.get("metrics", "metrics.json"), out.str())) {
-      return 1;
-    }
-  }
-  if (args.has("runtime-metrics")) {
-    std::ostringstream out;
-    out << scheduler_metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.get("runtime-metrics", "runtime.json"),
-                      out.str())) {
-      return 1;
-    }
+  if (!write_json_output(flags, "metrics", metrics.to_json()) ||
+      !write_json_output(flags, "runtime-metrics",
+                         scheduler_metrics.to_json())) {
+    return 1;
   }
 
   std::printf(
@@ -495,23 +395,19 @@ int cmd_crawl(const Args& args) {
       health.sites_retained, health.sites_excluded,
       100.0 * health.exclusion_rate(), health.sites_degraded,
       health.sites_recovered, health.total_attempts);
-  if (args.has("health")) {
-    std::ostringstream out;
-    out << health.to_json().dump(2) << '\n';
-    if (!write_output(args.get("health", "health.json"), out.str())) return 1;
-  }
+  if (!write_json_output(flags, "health", health.to_json())) return 1;
 
   // The streaming-crawl RSS gate reads this line; stderr because peak RSS
   // is an OS measurement, not part of the deterministic output.
   std::fprintf(stderr, "cgsim: peak rss: %ld KiB\n", peak_rss_kib());
-  return print_analysis(args, analyzer) ? 0 : 1;
+  return print_analysis(flags, analyzer) ? 0 : 1;
 }
 
 // Crawl once, analyze many times: pack streams the measurement crawl into a
 // CGAR archive. No analyzer runs here — the archive *is* the product.
-int cmd_pack(const Args& args) {
-  const auto policy_kind = policy_from_args(args);
-  if (!policy_kind) return 2;
+int cmd_pack(const cli::Flags& flags) {
+  std::optional<cookieguard::Deployment> guards;
+  crawler::CrawlOptions options = crawl_options(flags, &guards);
 
   // Delta packs (--base): the base chain pins the corpus — seeds, site
   // count, policy, wave — so the next wave is crawled from the exact
@@ -521,39 +417,30 @@ int cmd_pack(const Args& args) {
   std::optional<store::WaveChain> base_chain;
   std::unique_ptr<corpus::CorpusView> corpus_view;
   std::uint64_t evolution_seed = 0;
-  std::uint32_t wave = static_cast<std::uint32_t>(args.get_int("wave", 0));
+  auto wave = static_cast<std::uint32_t>(flags.get_int("wave", 0, 0));
 
-  if (args.has("base")) {
-    if (args.has("resume") || args.has("checkpoint")) {
-      std::fprintf(stderr,
-                   "cgsim: checkpoint/resume is not supported for delta "
-                   "packs (--base)\n");
-      return 2;
+  if (const auto base = flags.find("base")) {
+    if (flags.has("resume") || flags.has("checkpoint")) {
+      flags.fail("checkpoint/resume is not supported for delta packs "
+                 "(--base)");
     }
-    base_chain = open_chain(split_paths(args.get("base", "")), &base_readers);
+    base_chain = open_chain(split_paths(base->text), &base_readers);
     if (!base_chain) return 1;
     const store::Reader& tail = base_chain->archive(base_chain->waves() - 1);
-    if (to_archive_policy(*policy_kind) != tail.policy()) {
-      std::fprintf(
-          stderr,
-          "cgsim: --policy %s does not match the base chain's recorded "
-          "policy %s\n",
-          std::string(policy::to_string(*policy_kind)).c_str(),
-          std::string(store::archive_policy_name(tail.policy())).c_str());
-      return 2;
+    if (to_archive_policy(options.policy) != tail.policy()) {
+      flags.fail("--policy " + std::string(policy::to_string(options.policy)) +
+                 " does not match the base chain's recorded policy " +
+                 std::string(store::archive_policy_name(tail.policy())));
     }
-    if (!args.has("wave")) wave = tail.wave() + 1;
+    if (!flags.has("wave")) wave = tail.wave() + 1;
     if (wave <= tail.wave()) {
-      std::fprintf(stderr,
-                   "cgsim: --wave %u is not later than the base chain's "
-                   "wave %u\n",
-                   static_cast<unsigned>(wave),
-                   static_cast<unsigned>(tail.wave()));
-      return 2;
+      flags.fail("--wave " + std::to_string(wave) +
+                 " is not later than the base chain's wave " +
+                 std::to_string(tail.wave()));
     }
     evolve::EvolutionParams evolution;
     if (tail.evolution_seed() != 0) evolution.seed = tail.evolution_seed();
-    evolution.seed = parse_u64(args.get("evo-seed", ""), evolution.seed);
+    evolution.seed = flags.get_u64("evo-seed", evolution.seed);
     if (tail.evolution_seed() != 0 &&
         evolution.seed != tail.evolution_seed()) {
       std::fprintf(stderr,
@@ -567,8 +454,8 @@ int cmd_pack(const Args& args) {
     corpus::CorpusParams params;
     params.site_count = tail.total_site_count();
     params.seed = tail.corpus_seed();
-    if (args.has("sites") &&
-        args.get_int("sites", 0) != params.site_count) {
+    if (flags.has("sites") &&
+        flags.get_int("sites", 0, 1) != params.site_count) {
       std::fprintf(stderr,
                    "cgsim: --sites ignored for delta packs (the base chain "
                    "pins %d sites)\n",
@@ -576,28 +463,14 @@ int cmd_pack(const Args& args) {
     }
     corpus_view = std::make_unique<evolve::WaveCorpus>(
         params, evolution, static_cast<int>(wave));
+    options.delta_base = &*base_chain;
   } else {
-    corpus_view = make_corpus_view(args);
-    if (args.has("wave") || args.has("evo-seed")) {
-      evolve::EvolutionParams defaults;
-      evolution_seed = parse_u64(args.get("evo-seed", ""), defaults.seed);
-    }
+    corpus_view = make_corpus_view(flags, &evolution_seed);
   }
   const corpus::CorpusView& corpus = *corpus_view;
   crawler::Crawler crawler(corpus);
 
-  crawler::CrawlOptions options;
-  options.threads = args.get_int("threads", 1);
-  if (args.has("no-faults")) options.fault_plan.reset();
-  options.policy = *policy_kind;
-  std::optional<cookieguard::Deployment> guards;
-  if (options.policy == policy::PolicyKind::kCookieGuard) {
-    guards.emplace(options.threads);
-    options.extension_factory = guards->factory();
-  }
-  if (base_chain) options.delta_base = &*base_chain;
-
-  const std::string out_path = args.get("out", "crawl.cgar");
+  const std::string out_path = flags.get("out", "crawl.cgar");
   store::WriterOptions writer_options;
   writer_options.corpus_seed = corpus.params().seed;
   const fault::FaultPlan plan = crawler.plan_for(options);
@@ -630,31 +503,22 @@ int cmd_pack(const Args& args) {
     writer_options.base = base;
   }
 
-  const std::string checkpoint_path = args.get("checkpoint", "");
-  if (!checkpoint_path.empty()) {
-    options.checkpoint_interval = args.get_int("checkpoint-every", 100);
-  }
   // Self-healing I/O: read-back-verify appended blocks on request, and when
   // checkpointing, keep the unsynced tail in memory so an fsync loss at the
   // checkpoint barrier is healed instead of killing the pack.
-  writer_options.io.scrub_writes = args.has("scrub");
+  writer_options.io.scrub_writes = flags.has("scrub");
   writer_options.io.buffer_unsynced = options.checkpoint_interval > 0;
   obs::MetricsRegistry pack_metrics;
   writer_options.metrics = &pack_metrics;
-  if (args.has("metrics")) options.metrics = &pack_metrics;
+  if (flags.has("metrics")) options.metrics = &pack_metrics;
 
   std::unique_ptr<store::Writer> writer;
   store::Error store_error;
   crawler::CrawlHealth health;
 
-  if (args.has("resume")) {
-    const auto checkpoint = load_checkpoint(args.get("resume", ""));
+  if (const auto resume = flags.find("resume")) {
+    const auto checkpoint = load_resume(resume->text, corpus);
     if (!checkpoint) return 1;
-    if (checkpoint->corpus_seed != corpus.params().seed ||
-        checkpoint->target_count > corpus.size()) {
-      std::fprintf(stderr, "cgsim: checkpoint does not match this corpus\n");
-      return 1;
-    }
     if (checkpoint->archive_sites < 0) {
       std::fprintf(stderr,
                    "cgsim: checkpoint has no archive segment — it was "
@@ -671,9 +535,6 @@ int cmd_pack(const Args& args) {
       return 1;
     }
     options.archive = writer.get();
-    if (!checkpoint_path.empty()) {
-      options.on_checkpoint = checkpoint_writer(checkpoint_path);
-    }
     std::printf("resuming pack at site %d of %d (%d blocks kept)...\n",
                 checkpoint->next_index, checkpoint->target_count,
                 writer->sites_written());
@@ -686,9 +547,6 @@ int cmd_pack(const Args& args) {
       return 1;
     }
     options.archive = writer.get();
-    if (!checkpoint_path.empty()) {
-      options.on_checkpoint = checkpoint_writer(checkpoint_path);
-    }
     if (base_chain) {
       std::printf("packing wave %u of %d sites into %s (delta vs wave %u)...\n",
                   static_cast<unsigned>(wave), corpus.size(),
@@ -719,13 +577,7 @@ int cmd_pack(const Args& args) {
                 "I/O retry budget\n",
                 quarantined);
   }
-  if (args.has("metrics")) {
-    std::ostringstream out;
-    out << pack_metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.get("metrics", "metrics.json"), out.str())) {
-      return 1;
-    }
-  }
+  if (!write_json_output(flags, "metrics", pack_metrics.to_json())) return 1;
   if (base_chain) {
     const int total = writer->sites_written() + writer->inherited_written();
     std::printf(
@@ -746,108 +598,42 @@ int cmd_pack(const Args& args) {
   return 0;
 }
 
-// Analyze-from-archive: everything `crawl` computes, without crawling.
-int cmd_query(const Args& args) {
-  const std::vector<std::string> paths = split_paths(args.get("archive", ""));
-  if (paths.empty()) {
-    std::fprintf(stderr,
-                 "usage: cgsim query --archive FILE[,FILE...] [--wave W] "
-                 "[--site RANK]\n");
-    return 2;
-  }
-  store::Error error;
-
-  // Trend queries: a multi-archive list (or any delta archive, or an
-  // explicit --wave) is a base+delta chain; sites are materialized through
-  // it, and the answers for a wave are byte-identical to querying an
-  // independently packed full archive of that wave.
-  bool chain_query = paths.size() > 1 || args.has("wave");
+// Analyze-from-archive: everything `crawl` computes, without crawling. The
+// archive list is one base+delta chain — a single full archive is a
+// one-link chain — and the answers for a wave are byte-identical to
+// querying an independently packed full archive of that wave.
+int cmd_query(const cli::Flags& flags) {
+  const std::vector<std::string> paths = split_paths(flags.get("archive", ""));
+  if (paths.empty()) flags.fail("--archive FILE[,FILE...] is required");
   std::vector<store::Reader> readers;
-  readers.reserve(paths.size());
-  for (const std::string& path : paths) {
-    auto opened = store::Reader::open(path, &error);
-    if (!opened) {
-      std::fprintf(stderr, "cgsim: cannot open archive %s (%s)\n",
-                   path.c_str(), error.to_string().c_str());
+  const auto chain = open_chain(paths, &readers);
+  if (!chain) return 1;
+  int wave_index = chain->waves() - 1;
+  if (flags.has("wave")) {
+    const auto want = static_cast<std::uint32_t>(flags.get_int("wave", 0, 0));
+    wave_index = -1;
+    for (int i = 0; i < chain->waves(); ++i) {
+      if (chain->archive(i).wave() == want) wave_index = i;
+    }
+    if (wave_index < 0) {
+      std::fprintf(stderr, "cgsim: wave %u is not in this chain\n",
+                   static_cast<unsigned>(want));
       return 1;
     }
-    if (opened->kind() == store::ArchiveKind::kDelta) chain_query = true;
-    readers.push_back(std::move(*opened));
   }
-
-  if (chain_query) {
-    std::vector<const store::Reader*> links;
-    links.reserve(readers.size());
-    for (const store::Reader& r : readers) links.push_back(&r);
-    const auto chain = store::WaveChain::link(std::move(links), &error);
-    if (!chain) {
-      std::fprintf(stderr, "cgsim: archive chain rejected (%s)\n",
-                   error.to_string().c_str());
-      return 1;
-    }
-    int wave_index = chain->waves() - 1;
-    if (args.has("wave")) {
-      const auto want = static_cast<std::uint32_t>(args.get_int("wave", 0));
-      wave_index = -1;
-      for (int i = 0; i < chain->waves(); ++i) {
-        if (chain->archive(i).wave() == want) wave_index = i;
-      }
-      if (wave_index < 0) {
-        std::fprintf(stderr, "cgsim: wave %u is not in this chain\n",
-                     static_cast<unsigned>(want));
-        return 1;
-      }
-    }
-    // The entity map is the builtin static table (Corpus::entities()
-    // returns the same), so no corpus reconstruction is needed.
-    analysis::Analyzer analyzer(entities::EntityMap::builtin());
-    if (args.has("site")) {
-      const int rank = args.get_int("site", 0);
-      const auto log = chain->visit(rank, wave_index, &error);
-      if (!log) {
-        std::fprintf(stderr, "cgsim: site %d: %s\n", rank,
-                     error.to_string().c_str());
-        return 1;
-      }
-      analyzer.ingest(*log);
-      std::printf("https://%s/ — %zu script inclusions, %zu cookie writes, "
-                  "%zu requests (attempts: %d, failure: %s)\n",
-                  log->site_host.c_str(), log->includes.size(),
-                  log->script_sets.size(), log->requests.size(),
-                  log->attempts,
-                  std::string(fault::failure_class_name(log->failure))
-                      .c_str());
-      std::printf("%s\n",
-                  report::summary_to_json(analyzer, 10).dump(2).c_str());
-      return 0;
-    }
-    if (!analysis::analyze_wave(*chain, wave_index, analyzer, &error)) {
-      std::fprintf(stderr, "cgsim: archive chain is corrupt (%s)\n",
-                   error.to_string().c_str());
-      return 1;
-    }
-    return print_analysis(args, analyzer) ? 0 : 1;
-  }
-
-  const std::string& path = paths.front();
-  const store::Reader* reader = &readers.front();
-
-  // Rebuild the corpus the archive was packed from — the entity map drives
-  // the analyzer, and provenance in the footer pins the exact corpus.
-  corpus::CorpusParams params;
-  params.site_count = reader->site_count();
-  params.seed = reader->corpus_seed();
-  corpus::Corpus corpus(params);
-
-  if (args.has("site")) {
-    const int rank = args.get_int("site", 0);
-    // Footer-index random access: one binary search + one block decode,
-    // never a file walk. The latency line on stderr makes that visible
-    // (and regressing to a scan impossible to miss); stdout stays
+  // The entity map is the builtin static table (Corpus::entities()
+  // returns the same), so no corpus reconstruction is needed.
+  analysis::Analyzer analyzer(entities::EntityMap::builtin());
+  store::Error error;
+  if (flags.has("site")) {
+    const int rank = flags.get_int("site", 0, 0);
+    // Footer-index random access: binary searches + block decodes, never a
+    // file walk. The latency line on stderr makes that visible (and
+    // regressing to a scan impossible to miss); stdout stays
     // byte-deterministic.
     const auto lookup_start =
         std::chrono::steady_clock::now();  // cglint: allow(D1) — per-query latency diagnostic on stderr; stdout bytes never depend on it
-    const auto log = reader->visit(rank, &error);
+    const auto log = chain->visit(rank, wave_index, &error);
     const std::chrono::duration<double, std::micro> lookup_elapsed =
         std::chrono::steady_clock::now() - lookup_start;  // cglint: allow(D1) — per-query latency diagnostic on stderr; stdout bytes never depend on it
     if (!log) {
@@ -858,8 +644,7 @@ int cmd_query(const Args& args) {
     std::fprintf(stderr,
                  "cgsim: site %d decoded in %.1f us (index random access, "
                  "%d-site archive)\n",
-                 rank, lookup_elapsed.count(), reader->site_count());
-    analysis::Analyzer analyzer(corpus.entities());
+                 rank, lookup_elapsed.count(), chain->site_count(wave_index));
     analyzer.ingest(*log);
     std::printf("https://%s/ — %zu script inclusions, %zu cookie writes, "
                 "%zu requests (attempts: %d, failure: %s)\n",
@@ -869,18 +654,17 @@ int cmd_query(const Args& args) {
     std::printf("%s\n", report::summary_to_json(analyzer, 10).dump(2).c_str());
     return 0;
   }
-
-  analysis::Analyzer analyzer(corpus.entities());
-  if (!analysis::analyze_archive(*reader, analyzer, &error)) {
-    std::fprintf(stderr, "cgsim: archive %s is corrupt (%s)\n", path.c_str(),
+  if (!analysis::analyze_wave(*chain, wave_index, analyzer, &error)) {
+    std::fprintf(stderr, "cgsim: archive chain is corrupt (%s)\n",
                  error.to_string().c_str());
     return 1;
   }
-  return print_analysis(args, analyzer) ? 0 : 1;
+  return print_analysis(flags, analyzer) ? 0 : 1;
 }
 
 // CRC-walks every block; the cheap "is this artifact intact?" gate.
-int cmd_verify_archive(const std::string& path) {
+int cmd_verify_archive(const cli::Flags& flags) {
+  const std::string& path = flags.positionals().front();
   store::Error error;
   const auto reader = store::Reader::open(path, &error);
   if (!reader) {
@@ -920,9 +704,9 @@ int cmd_verify_archive(const std::string& path) {
   return 0;
 }
 
-int cmd_audit(const Args& args) {
-  corpus::Corpus corpus(make_corpus(args));
-  const int index = args.get_int("site", 0) % corpus.size();
+int cmd_audit(const cli::Flags& flags) {
+  corpus::Corpus corpus(corpus_params(flags));
+  const int index = flags.get_int("site", 0, 0) % corpus.size();
   crawler::Crawler crawler(corpus);
   crawler::CrawlOptions options;  // visit() never applies the fault plan
   const auto log = crawler.visit(index, options);
@@ -937,10 +721,10 @@ int cmd_audit(const Args& args) {
   return 0;
 }
 
-int cmd_breakage(const Args& args) {
-  corpus::Corpus corpus(make_corpus(args));
+int cmd_breakage(const cli::Flags& flags) {
+  corpus::Corpus corpus(corpus_params(flags));
   breakage::BreakageEvaluator evaluator(corpus);
-  const auto sample = evaluator.sample_sites(args.get_int("sample", 100, 1),
+  const auto sample = evaluator.sample_sites(flags.get_int("sample", 100, 1),
                                              corpus.size());
   for (const auto mode :
        {breakage::GuardMode::kStrict, breakage::GuardMode::kEntityGrouping,
@@ -953,6 +737,7 @@ int cmd_breakage(const Args& args) {
   return 0;
 }
 
+
 // Validates an exported trace: parses it with report::Json (so any
 // serialization bug that breaks JSON fails here), checks the Chrome
 // trace-event envelope, and verifies every track's events are
@@ -960,7 +745,8 @@ int cmd_breakage(const Args& args) {
 // stable-sorted per-site merge. (Global monotonicity is deliberately not
 // required: site clocks are staggered and retries shift them, so a later
 // track can legitimately start before an earlier track's retries end.)
-int cmd_trace_check(const std::string& path) {
+int cmd_trace_check(const cli::Flags& flags) {
+  const std::string& path = flags.positionals().front();
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cgsim: cannot open %s\n", path.c_str());
@@ -1028,10 +814,10 @@ int cmd_trace_check(const std::string& path) {
   return 0;
 }
 
-int cmd_perf(const Args& args) {
-  corpus::Corpus corpus(make_corpus(args));
-  const auto comparison = perf::compare_page_load(corpus, corpus.size(), {},
-                                                  args.get_int("threads", 1));
+int cmd_perf(const cli::Flags& flags) {
+  corpus::Corpus corpus(corpus_params(flags));
+  const auto comparison = perf::compare_page_load(
+      corpus, corpus.size(), {}, flags.get_int("threads", 1, 0));
   std::printf("load event: %.0f ms -> %.0f ms (overhead %.0f ms)\n",
               comparison.normal.load_event.mean_ms,
               comparison.guarded.load_event.mean_ms,
@@ -1042,40 +828,45 @@ int cmd_perf(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  if (args.command == "crawl") return cmd_crawl(args);
-  if (args.command == "audit") return cmd_audit(args);
-  if (args.command == "breakage") return cmd_breakage(args);
-  if (args.command == "perf") return cmd_perf(args);
-  if (args.command == "trace-check") {
-    if (argc < 3) {
-      std::fprintf(stderr, "usage: cgsim trace-check FILE\n");
-      return 2;
+  // Each command declares every flag it reads; anything else exits 2.
+  const struct Command {
+    std::string_view name;
+    cli::FlagSpec spec;
+    int (*run)(const cli::Flags&);
+  } commands[] = {
+      {"crawl",
+       {.values = {"sites", "threads", "policy", "wave", "evo-seed", "json",
+                   "pairs-csv", "domains-csv", "health", "checkpoint",
+                   "checkpoint-every", "resume", "trace", "trace-detail",
+                   "metrics", "runtime-metrics"},
+        .switches = {"guard", "no-faults", "stream", "totals-only",
+                     "trace-wall-clock"}},
+       cmd_crawl},
+      {"pack",
+       {.values = {"sites", "threads", "policy", "wave", "evo-seed", "base",
+                   "out", "checkpoint", "checkpoint-every", "resume",
+                   "metrics"},
+        .switches = {"guard", "no-faults", "stream", "scrub"}},
+       cmd_pack},
+      {"query",
+       {.values = {"archive", "wave", "site", "json", "pairs-csv",
+                   "domains-csv"}},
+       cmd_query},
+      {"verify-archive", {.positionals = 1}, cmd_verify_archive},
+      {"audit", {.values = {"sites", "site"}}, cmd_audit},
+      {"breakage", {.values = {"sites", "sample"}}, cmd_breakage},
+      {"perf", {.values = {"sites", "threads"}}, cmd_perf},
+      {"trace-check", {.positionals = 1}, cmd_trace_check},
+  };
+  const std::string_view name = argc > 1 ? argv[1] : "";
+  std::string names;
+  for (const Command& command : commands) {
+    if (command.name == name) {
+      return command.run(cli::Flags::parse("cgsim " + std::string(name), argc,
+                                           argv, 2, command.spec));
     }
-    return cmd_trace_check(argv[2]);
+    names += names.empty() ? "<" : "|";
+    names += command.name;
   }
-  if (args.command == "pack") return cmd_pack(args);
-  if (args.command == "query") return cmd_query(args);
-  if (args.command == "verify-archive") {
-    if (argc < 3) {
-      std::fprintf(stderr, "usage: cgsim verify-archive FILE\n");
-      return 2;
-    }
-    return cmd_verify_archive(argv[2]);
-  }
-  std::fprintf(stderr,
-               "usage: cgsim <crawl|audit|breakage|perf|trace-check|pack|"
-               "query|verify-archive>\n"
-               "             [--sites N] [--threads T] "
-               "[--policy none|cookieguard|fpi|chips] [--site I] "
-               "[--sample K]\n"
-               "             [--guard] (alias for --policy cookieguard)\n"
-               "             [--stream] [--wave W] [--evo-seed S] "
-               "[--totals-only] [--base FILE,...]\n"
-               "             [--json FILE] [--pairs-csv FILE] "
-               "[--domains-csv FILE]\n"
-               "             [--trace FILE] [--metrics FILE] "
-               "[--runtime-metrics FILE]\n"
-               "             [--out FILE] [--archive FILE[,FILE...]]\n");
-  return 2;
+  cli::usage_error("usage", "cgsim " + names + "> [flags]");
 }

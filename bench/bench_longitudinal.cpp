@@ -22,7 +22,6 @@
 // deltas).
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,8 +45,9 @@ constexpr double kMaxDeltaRatio = 0.25;
 std::string pack_wave(const corpus::CorpusView& view, int threads,
                       const store::WaveChain* base,
                       store::WriterOptions writer_options) {
-  std::ostringstream out(std::ios::binary);
-  store::Writer writer(&out, writer_options);
+  auto sink = std::make_unique<store::BufferSink>();
+  const store::BufferSink* out = sink.get();
+  store::Writer writer(std::move(sink), writer_options);
   crawler::Crawler crawler(view);
   crawler::CrawlOptions options;
   options.threads = threads;
@@ -60,7 +60,7 @@ std::string pack_wave(const corpus::CorpusView& view, int threads,
                  error.to_string().c_str());
     std::exit(1);
   }
-  return std::move(out).str();
+  return out->bytes();
 }
 
 store::Reader open_buffer(std::string bytes) {

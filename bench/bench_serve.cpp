@@ -22,7 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,8 +122,9 @@ int main(int argc, char** argv) {
   writer_options.corpus_seed = corpus.params().seed;
   const fault::FaultPlan plan = crawler.plan_for(options);
   writer_options.fault_seed = plan.enabled() ? plan.params().seed : 0;
-  std::ostringstream sink;
-  store::Writer writer(&sink, writer_options);
+  auto sink = std::make_unique<store::BufferSink>();
+  const store::BufferSink* buffer = sink.get();
+  store::Writer writer(std::move(sink), writer_options);
   crawler.crawl(corpus.size(), options,
                 [&](instrument::VisitLog&& log) { writer.add(log); });
   store::Error error;
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
                  error.to_string().c_str());
     return 1;
   }
-  const std::string archive = sink.str();
+  const std::string archive = buffer->bytes();
 
   // Phase 1: the batch baseline — a full validating walk per question.
   auto batch_reader = store::Reader::from_buffer(archive, &error);

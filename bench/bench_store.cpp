@@ -7,7 +7,7 @@
 // JSON serialization of the same VisitLogs. The acceptance bar is archive
 // <= 25% of JSON — checked here and printed pass/fail so CI can grep it.
 #include <chrono>
-#include <sstream>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -157,14 +157,15 @@ int main(int argc, char** argv) {
   });
   const fault::FaultPlan plan = crawler.plan_for(options);
 
-  // Phase 1: pack. Writer against an in-memory stream so the numbers are
+  // Phase 1: pack. Writer against an in-memory sink so the numbers are
   // codec throughput, not disk weather.
   store::WriterOptions writer_options;
   writer_options.corpus_seed = corpus.params().seed;
   writer_options.fault_seed = plan.enabled() ? plan.params().seed : 0;
-  std::ostringstream sink;
+  auto sink = std::make_unique<store::BufferSink>();
+  const store::BufferSink* buffer = sink.get();
   const auto write_start = std::chrono::steady_clock::now();
-  store::Writer writer(&sink, writer_options);
+  store::Writer writer(std::move(sink), writer_options);
   for (const auto& log : logs) writer.add(log);
   store::Error error;
   if (!writer.finish(&error)) {
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double write_s = seconds_since(write_start);
-  const std::string archive = sink.str();
+  const std::string archive = buffer->bytes();
   const double archive_mb = static_cast<double>(archive.size()) / 1e6;
 
   // Phase 2: replay. Full validating read — footer walk, CRC per block,

@@ -7,10 +7,10 @@
 //
 // Policy (deterministic — a pure function of the access sequence, no
 // wall-clock, no randomness):
-//   admission:  blocks whose *encoded* size exceeds max_block_bytes are
+//   admission:  sites whose *encoded* payload exceeds max_block_bytes are
 //               never admitted (one pathological megasite must not evict a
-//               shard's whole working set). Encoded size comes from the
-//               footer index, so the decision is made before decoding.
+//               shard's whole working set). The payload size is known
+//               before its records decode.
 //   eviction:   strict LRU per shard; each shard holds at most
 //               max_entries / shards entries.
 //
@@ -38,7 +38,7 @@ namespace cg::serve {
 struct CacheConfig {
   /// Total decoded-log entries across all shards; 0 disables caching.
   std::size_t max_entries = 4096;
-  /// Admission bound on the encoded block size (footer index length).
+  /// Admission bound on the encoded site payload size.
   std::uint64_t max_block_bytes = 1 << 20;
   /// Lock shards; clamped to [1, max_entries] so every shard holds ≥ 1.
   int shards = 16;

@@ -13,16 +13,6 @@ namespace {
 
 using cookies::CookieSource;
 
-/// Binary search of a footer index (ranks strictly increasing) for `rank`.
-const store::IndexEntry* find_entry(const std::vector<store::IndexEntry>& index,
-                                    int rank) {
-  const auto it = std::lower_bound(
-      index.begin(), index.end(), rank,
-      [](const store::IndexEntry& e, int r) { return e.rank < r; });
-  if (it == index.end() || it->rank != rank) return nullptr;
-  return &*it;
-}
-
 report::Json error_json(const Query& query, const std::string& detail) {
   report::Json out = report::Json::object();
   out["kind"] = query_kind_name(query.kind);
@@ -50,8 +40,11 @@ report::Json api_breakdown(const analysis::SiteSummary& s, CookieSource via,
 
 }  // namespace
 
-Server::Server(std::vector<Archive> archives, const ServerConfig& config)
-    : archives_(std::move(archives)), cache_(config.cache) {}
+Server::Server(std::vector<Archive> archives, store::WaveChain chain,
+               const ServerConfig& config)
+    : archives_(std::move(archives)),
+      chain_(std::move(chain)),
+      cache_(config.cache) {}
 
 std::unique_ptr<Server> Server::open(const std::vector<std::string>& paths,
                                      const ServerConfig& config,
@@ -81,56 +74,38 @@ std::unique_ptr<Server> Server::from_readers(
     archives.push_back(Archive{"<buffer>", std::move(reader)});
   }
 
-  std::unique_ptr<Server> server(new Server(std::move(archives), config));
-
-  // Precompute the aggregates: one full fold per archive at load time, so
-  // no query ever walks an archive. merge() order = load order.
-  const entities::EntityMap& entities = entities::EntityMap::builtin();
-  const bool chain_mode = std::any_of(
-      server->archives_.begin(), server->archives_.end(),
-      [](const Archive& a) {
-        return a.reader.kind() == store::ArchiveKind::kDelta;
-      });
-  if (chain_mode) {
-    // Base+delta chain: validate the linkage, then fold each wave from its
-    // materialized logs. The regular aggregate serves the newest wave.
-    std::vector<const store::Reader*> readers_in_order;
-    readers_in_order.reserve(server->archives_.size());
-    for (const Archive& archive : server->archives_) {
-      readers_in_order.push_back(&archive.reader);
-    }
-    server->chain_ = store::WaveChain::link(std::move(readers_in_order),
-                                            error);
-    if (!server->chain_) return nullptr;
-    for (int w = 0; w < server->chain_->waves(); ++w) {
-      WaveInfo info;
-      info.wave = server->chain_->archive(w).wave();
-      const bool ok = server->chain_->for_each(
-          w,
-          [&](instrument::VisitLog&& log) {
-            info.summary.merge(analysis::fold_visit(entities, {}, log));
-          },
-          error);
-      if (!ok) return nullptr;  // an unresolvable chain must not serve
-      server->waves_.push_back(std::move(info));
-    }
-    server->aggregate_ = server->waves_.back().summary;
-    server->waves_answer_ = server->build_waves();
-  } else {
-    for (const Archive& archive : server->archives_) {
-      analysis::SiteSummary summary;
-      const bool ok = archive.reader.for_each(
-          [&](instrument::VisitLog&& log) {
-            summary.merge(analysis::fold_visit(entities, {}, log));
-          },
-          error);
-      if (!ok) return nullptr;  // a corrupt corpus must not serve
-      server->aggregate_.merge(std::move(summary));
-    }
+  // Link before the archives move into the server: moving the vector keeps
+  // its buffer, so the readers the chain borrows stay where they are.
+  std::vector<const store::Reader*> chain_readers;
+  chain_readers.reserve(archives.size());
+  for (const Archive& archive : archives) {
+    chain_readers.push_back(&archive.reader);
   }
+  auto chain = store::WaveChain::link(std::move(chain_readers), error);
+  if (!chain) return nullptr;  // not one base+delta chain: nothing to serve
+  std::unique_ptr<Server> server(
+      new Server(std::move(archives), std::move(*chain), config));
 
-  // Per-entity index over the merged pair map.
-  for (const auto& [pair, stats] : server->aggregate_.pairs) {
+  // Precompute the aggregates: one full fold per wave at load time, so no
+  // query ever walks an archive.
+  const entities::EntityMap& entities = entities::EntityMap::builtin();
+  for (int w = 0; w < server->chain_.waves(); ++w) {
+    WaveInfo info;
+    info.wave = server->chain_.archive(w).wave();
+    const bool ok = server->chain_.for_each(
+        w,
+        [&](instrument::VisitLog&& log) {
+          info.summary.merge(analysis::fold_visit(entities, {}, log));
+        },
+        error);
+    if (!ok) return nullptr;  // a corrupt or unresolvable chain must not serve
+    server->waves_.push_back(std::move(info));
+  }
+  server->waves_answer_ = server->build_waves();
+  const analysis::SiteSummary& newest = server->aggregate();
+
+  // Per-entity index over the newest wave's pair map.
+  for (const auto& [pair, stats] : newest.pairs) {
     for (const auto& [entity, n] : stats.exfiltrator_entities) {
       auto& agg = server->entity_index_[entity];
       ++agg.exfiltrated_pairs;
@@ -157,66 +132,41 @@ std::unique_ptr<Server> Server::from_readers(
   // are prefix slices of the complete rankings precomputed here.
   server->table1_answer_ = server->build_table1();
   server->totals_answer_ = server->build_totals();
-  server->ranked_exfiltrated_ =
-      server->aggregate_.top_exfiltrated(server->aggregate_.pairs.size());
-  server->ranked_domains_ = server->aggregate_.top_exfiltrator_domains(
-      server->aggregate_.domains.size());
+  server->ranked_exfiltrated_ = newest.top_exfiltrated(newest.pairs.size());
+  server->ranked_domains_ =
+      newest.top_exfiltrator_domains(newest.domains.size());
   return server;
 }
 
-int Server::site_count() const {
-  if (chain_) return chain_->site_count(chain_->waves() - 1);
-  int n = 0;
-  for (const Archive& archive : archives_) n += archive.reader.site_count();
-  return n;
-}
-
 std::shared_ptr<const instrument::VisitLog> Server::load_site(
-    int rank, int* archive_index, store::Error* error) const {
-  if (chain_) {
-    // Chain mode: kSite answers the newest wave, materialized through the
-    // chain. Cached under the newest wave's archive index, keyed by the
-    // materialized payload size for admission.
-    const int top = chain_->waves() - 1;
-    *archive_index = top;
-    const auto key = static_cast<std::uint32_t>(top);
-    if (auto cached = cache_.get(key, rank)) return cached;
-    const auto payload = chain_->payload_at(rank, top, error);
-    if (!payload) return nullptr;
-    auto log = store::decode_site_payload(*payload, error);
-    if (!log) return nullptr;
-    auto shared =
-        std::make_shared<const instrument::VisitLog>(std::move(*log));
-    cache_.put(key, rank, payload->size(), shared);
-    return shared;
-  }
-  for (std::size_t i = 0; i < archives_.size(); ++i) {
-    const Archive& archive = archives_[i];
-    const store::IndexEntry* entry =
-        find_entry(archive.reader.index(), rank);
-    if (entry == nullptr) continue;
-    *archive_index = static_cast<int>(i);
-    if (auto cached = cache_.get(static_cast<std::uint32_t>(i), rank)) {
-      return cached;
+    int rank, store::Error* error) const {
+  // Cached under the newest wave's archive index; admission is keyed by
+  // the materialized payload size.
+  const int top = chain_.waves() - 1;
+  const std::vector<int>& ranks = chain_.ranks(top);
+  if (!std::binary_search(ranks.begin(), ranks.end(), rank)) {
+    // Not a site of the served wave, so no cache traffic either.
+    if (error != nullptr) {
+      *error = {fault::ArchiveFault::kNone,
+                "rank " + std::to_string(rank) + " is not in wave " +
+                    std::to_string(chain_.archive(top).wave())};
     }
-    auto log = archive.reader.visit(rank, error);
-    if (!log) return nullptr;  // corrupt block — error already filled
-    auto shared =
-        std::make_shared<const instrument::VisitLog>(std::move(*log));
-    cache_.put(static_cast<std::uint32_t>(i), rank, entry->length, shared);
-    return shared;
+    return nullptr;
   }
-  if (error != nullptr) {
-    *error = {fault::ArchiveFault::kNone,
-              "rank " + std::to_string(rank) + " is in no loaded archive"};
-  }
-  return nullptr;
+  const auto key = static_cast<std::uint32_t>(top);
+  if (auto cached = cache_.get(key, rank)) return cached;
+  const auto payload = chain_.payload_at(rank, top, error);
+  if (!payload) return nullptr;
+  auto log = store::decode_site_payload(*payload, error);
+  if (!log) return nullptr;
+  auto shared = std::make_shared<const instrument::VisitLog>(std::move(*log));
+  cache_.put(key, rank, payload->size(), shared);
+  return shared;
 }
 
 report::Json Server::handle_site(const Query& query) const {
-  int archive_index = -1;
   store::Error error;
-  const auto log = load_site(query.rank, &archive_index, &error);
+  const auto log = load_site(query.rank, &error);
   if (log == nullptr) {
     return error_json(query, error.code == fault::ArchiveFault::kNone
                                  ? error.detail
@@ -229,7 +179,7 @@ report::Json Server::handle_site(const Query& query) const {
   report::Json out = report::Json::object();
   out["kind"] = "site";
   out["rank"] = query.rank;
-  out["archive"] = archive_index;
+  out["archive"] = chain_.waves() - 1;
   out["site"] = log->site;
   out["host"] = log->site_host;
   out["complete"] = log->complete();
@@ -259,23 +209,24 @@ report::Json Server::handle_site(const Query& query) const {
 }
 
 report::Json Server::build_table1() const {
-  const analysis::Totals& t = aggregate_.totals;
+  const analysis::SiteSummary& newest = aggregate();
+  const analysis::Totals& t = newest.totals;
   report::Json out = report::Json::object();
   out["kind"] = "table1";
   out["sites_complete"] = t.sites_complete;
   out["document_cookie"] =
-      api_breakdown(aggregate_, CookieSource::kDocumentCookie,
+      api_breakdown(newest, CookieSource::kDocumentCookie,
                     t.sites_doc_exfil, t.sites_doc_overwrite,
                     t.sites_doc_delete, t.sites_complete);
   out["cookie_store"] =
-      api_breakdown(aggregate_, CookieSource::kCookieStore,
+      api_breakdown(newest, CookieSource::kCookieStore,
                     t.sites_store_exfil, t.sites_store_overwrite,
                     t.sites_store_delete, t.sites_complete);
   return out;
 }
 
 report::Json Server::build_totals() const {
-  const analysis::Totals& t = aggregate_.totals;
+  const analysis::Totals& t = aggregate().totals;
   report::Json out = report::Json::object();
   out["kind"] = "totals";
   out["sites_crawled"] = t.sites_crawled;
@@ -289,7 +240,7 @@ report::Json Server::build_totals() const {
   out["indirect_inclusions"] = t.indirect_inclusions;
   out["sites_using_document_cookie"] = t.sites_using_document_cookie;
   out["sites_using_cookie_store"] = t.sites_using_cookie_store;
-  out["unique_pairs"] = static_cast<std::int64_t>(aggregate_.pairs.size());
+  out["unique_pairs"] = static_cast<std::int64_t>(aggregate().pairs.size());
   out["unique_setter_scripts"] = t.unique_setter_scripts;
   out["script_set_events"] = t.script_set_events;
   out["cross_overwrites"] = t.cross_overwrites;
@@ -325,11 +276,6 @@ report::Json Server::build_waves() const {
 }
 
 report::Json Server::handle_waves(const Query& query) const {
-  if (waves_.empty()) {
-    return error_json(query,
-                      "no wave chain loaded — waves needs a base+delta "
-                      "archive chain");
-  }
   if (query.domain.empty()) return waves_answer_;
   // Per-domain trend: one map lookup per wave against the precomputed
   // per-wave summaries.
@@ -440,13 +386,8 @@ report::Json Server::handle(const Query& query) const {
       return handle_entity(query.entity);
     case QueryKind::kStats:
       return stats_json();
-    case QueryKind::kWaves: {
-      report::Json out = handle_waves(query);
-      if (out.find("error") != nullptr) {
-        query_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return out;
-    }
+    case QueryKind::kWaves:
+      return handle_waves(query);
   }
   query_errors_.fetch_add(1, std::memory_order_relaxed);
   return error_json(query, "unknown query kind");
@@ -480,7 +421,7 @@ report::Json Server::stats_json() const {
   }
   out["archives"] = std::move(archives);
   out["sites"] = site_count();
-  if (chain_) out["waves"] = static_cast<std::int64_t>(waves_.size());
+  out["waves"] = static_cast<std::int64_t>(waves_.size());
 
   report::Json queries = report::Json::object();
   for (int k = 0; k < kQueryKindCount; ++k) {

@@ -21,18 +21,14 @@
 // folds need no corpus reconstruction; the footer's corpus_seed is kept
 // only as provenance in stats.)
 //
-// Multiple archives: lookups try archives in load order (first archive
-// containing the rank wins); aggregate summaries merge in load order —
-// archives packed from disjoint rank ranges of one corpus merge exactly
-// (the SiteSummary contract).
-//
-// Wave chains: when any loaded archive is a delta archive, the load order
-// is treated as a base+delta chain (store::WaveChain validates the
-// provenance linkage). Each wave is materialized and folded at load time
-// into its own per-wave summary; the `waves` query serves the resulting
-// trend table (optionally filtered to one domain's stats), the regular
-// aggregate queries answer over the *newest* wave (the current web, not a
-// double-counted union), and kSite lookups materialize through the chain.
+// The archive list is one base+delta wave chain (store::WaveChain::link
+// validates the provenance linkage), exactly as `cgsim query` reads it: a
+// single full archive is a one-link chain, and a list that is not one
+// chain — two full archives, a delta first, a policy-mixed list — does not
+// serve. Each wave is folded at load time into its own summary; the
+// `waves` query serves the resulting trend table (optionally filtered to
+// one domain's stats), the aggregate queries answer over the *newest*
+// wave, and kSite lookups materialize the newest wave through the chain.
 #pragma once
 
 #include <array>
@@ -85,16 +81,13 @@ class Server {
       store::Error* error = nullptr);
 
   int archive_count() const { return static_cast<int>(archives_.size()); }
-  int site_count() const;
+  /// Sites in the newest wave.
+  int site_count() const { return chain_.site_count(chain_.waves() - 1); }
 
-  /// True when the loaded archives form a base+delta wave chain.
-  bool chain_mode() const { return chain_.has_value(); }
-  /// Number of waves in chain mode (0 otherwise).
-  int wave_count() const { return static_cast<int>(waves_.size()); }
-
-  /// The merged precomputed aggregate over every loaded archive (chain
-  /// mode: the newest wave's aggregate).
-  const analysis::SiteSummary& aggregate() const { return aggregate_; }
+  /// The precomputed aggregate of the newest wave.
+  const analysis::SiteSummary& aggregate() const {
+    return waves_.back().summary;
+  }
 
   /// Answers one query. Always returns a JSON object; failures (unknown
   /// rank, corrupt block) come back as {"error": ..., "kind": ...} so the
@@ -119,7 +112,8 @@ class Server {
     store::Reader reader;
   };
 
-  Server(std::vector<Archive> archives, const ServerConfig& config);
+  Server(std::vector<Archive> archives, store::WaveChain chain,
+         const ServerConfig& config);
 
   report::Json handle_site(const Query& query) const;
   report::Json handle_top_exfiltrated(int n) const;
@@ -132,23 +126,22 @@ class Server {
   report::Json build_totals() const;
   report::Json build_waves() const;
 
-  /// Decodes (archive_index, rank) through the cache. Null + error when the
-  /// rank is in no archive or its block is corrupt.
+  /// The newest wave's log of `rank`, through the cache. Null + error when
+  /// the rank is not in that wave or the chain cannot materialize it.
   std::shared_ptr<const instrument::VisitLog> load_site(
-      int rank, int* archive_index, store::Error* error) const;
+      int rank, store::Error* error) const;
 
   std::vector<Archive> archives_;
-  /// Chain mode: the validated base+delta chain over archives_ (borrows
-  /// their readers; archives_ never reallocates after construction) and
-  /// one folded summary per wave, oldest first.
-  std::optional<store::WaveChain> chain_;
+  /// The validated base+delta chain over archives_ (borrows their readers;
+  /// archives_ never reallocates after construction) and one folded
+  /// summary per wave, oldest first.
+  const store::WaveChain chain_;
   struct WaveInfo {
     std::uint32_t wave = 0;
     analysis::SiteSummary summary;
   };
   std::vector<WaveInfo> waves_;
   report::Json waves_answer_;
-  analysis::SiteSummary aggregate_;
   std::map<std::string, EntityAggregate> entity_index_;
   // Aggregate answers rendered once at load: table1/totals are returned as
   // copies, top-N queries slice the full precomputed rankings. At 20k sites

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <iterator>
-#include <ostream>
 #include <utility>
 
 namespace cg::store {
@@ -112,32 +111,6 @@ IoStatus BufferSink::read_back(std::uint64_t offset, std::size_t length,
   }
   out->assign(buffer_, static_cast<std::size_t>(offset), length);
   return {};
-}
-
-// ---- OstreamSink ---------------------------------------------------------
-
-IoStatus OstreamSink::write(std::string_view bytes) {
-  out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!*out_) {
-    out_->clear();
-    return stream_error(concat("write of ", std::to_string(bytes.size()),
-                               " bytes failed on wrapped ostream"));
-  }
-  return {};
-}
-
-IoStatus OstreamSink::flush() {
-  out_->flush();
-  if (!*out_) {
-    out_->clear();
-    return stream_error("flush failed on wrapped ostream");
-  }
-  return {};
-}
-
-IoStatus OstreamSink::truncate(std::uint64_t size) {
-  (void)size;
-  return stream_error("wrapped ostream cannot truncate");
 }
 
 // ---- FileSource ----------------------------------------------------------

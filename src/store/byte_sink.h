@@ -130,22 +130,6 @@ class BufferSink final : public ByteSink {
   std::string buffer_;
 };
 
-/// Wraps an externally-owned std::ostream (the legacy Writer constructor;
-/// tests stream archives into std::ostringstream). No truncate/read_back —
-/// a real write failure on this sink is therefore not self-healable, only
-/// reportable.
-class OstreamSink final : public ByteSink {
- public:
-  explicit OstreamSink(std::ostream* out) : out_(out) {}
-
-  IoStatus write(std::string_view bytes) override;
-  IoStatus flush() override;
-  IoStatus truncate(std::uint64_t size) override;
-
- private:
-  std::ostream* out_;
-};
-
 /// Reads a whole file (reader side).
 class FileSource final : public ByteSource {
  public:

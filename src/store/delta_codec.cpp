@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "crypto/crc32c.h"
-#include "store/reader.h"
 #include "store/record_codec.h"
 
 namespace cg::store {
@@ -255,27 +254,6 @@ WaveBlock make_wave_block(std::optional<std::string_view> base_payload,
       BlockType::kDelta,
       encode_delta_payload(log.rank, *base_payload, new_payload));
   return out;
-}
-
-std::optional<WaveBlock> encode_wave_block(const Reader& base,
-                                           const instrument::VisitLog& log,
-                                           Error* error) {
-  if (base.kind() != ArchiveKind::kFull) {
-    set_error(error, fault::ArchiveFault::kDeltaUnresolved,
-              "cannot diff against a delta archive's physical blocks — "
-              "materialize the base wave through store::WaveChain");
-    return std::nullopt;
-  }
-  Error base_error;
-  const auto base_payload = base.block_payload(log.rank, &base_error);
-  if (!base_payload && !base_error.ok()) {
-    // The base's block for this rank exists but is damaged — the wave
-    // cannot be packed against it.
-    if (error != nullptr) *error = base_error;
-    return std::nullopt;
-  }
-  if (error != nullptr) *error = {};
-  return make_wave_block(base_payload, log);
 }
 
 }  // namespace cg::store

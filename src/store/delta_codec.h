@@ -31,8 +31,6 @@
 
 namespace cg::store {
 
-class Reader;
-
 /// Encodes `new_payload` as a delta-block payload against `base_payload`.
 /// Picks whichever of diff/raw mode is smaller (diff wins ties).
 std::string encode_delta_payload(int rank, std::string_view base_payload,
@@ -70,14 +68,5 @@ struct WaveBlock {
 /// thread-safe — shard workers call this so the merge thread only appends.
 WaveBlock make_wave_block(std::optional<std::string_view> base_payload,
                           const instrument::VisitLog& log);
-
-/// make_wave_block against a full base archive's physical blocks. Fails
-/// kDeltaUnresolved when `base` is itself a delta archive (its physical
-/// payloads are edit scripts, not site payloads — materialize through
-/// store::WaveChain instead) and kChecksumMismatch/etc. when the base's
-/// block for this rank is corrupt.
-std::optional<WaveBlock> encode_wave_block(const Reader& base,
-                                           const instrument::VisitLog& log,
-                                           Error* error = nullptr);
 
 }  // namespace cg::store

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <ostream>
 #include <utility>
 
 #include "store/record_codec.h"
@@ -30,11 +29,6 @@ const std::vector<double>& io_backoff_bounds() {
 }
 
 }  // namespace
-
-Writer::Writer(std::ostream* out, WriterOptions options)
-    : sink_(std::make_unique<OstreamSink>(out)), options_(options) {
-  if (!append_bytes(encode_header(), "header")) dead_ = true;
-}
 
 Writer::Writer(std::unique_ptr<ByteSink> sink, WriterOptions options)
     : sink_(std::move(sink)), options_(options) {

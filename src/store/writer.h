@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -94,10 +93,6 @@ struct WriterOptions {
 
 class Writer {
  public:
-  /// Streams to an externally-owned ostream (must be opened binary; tests
-  /// use std::ostringstream). Writes the header immediately.
-  Writer(std::ostream* out, WriterOptions options);
-
   /// Streams to `sink` (fresh archive: writes the header immediately).
   /// Header-write failure after retries marks the writer dead — every
   /// append fails and finish() reports the taxonomized error.
@@ -161,7 +156,7 @@ class Writer {
   bool append_site_block(int rank, std::string&& block);
 
   /// Delta archives (kind == kDelta): appends a pre-framed kDelta block
-  /// (from make_wave_block / encode_wave_block). Same healing and
+  /// (from make_wave_block). Same healing and
   /// rank-order contract as append_site_block; site, delta, and inherited
   /// ranks share one strictly-increasing order.
   bool append_delta_block(int rank, std::string&& block);

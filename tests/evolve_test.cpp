@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,8 +52,9 @@ std::vector<std::string> crawl_payloads(const corpus::CorpusView& view,
 std::string pack_wave(const corpus::CorpusView& view, int threads,
                       const store::WaveChain* base,
                       store::WriterOptions writer_options) {
-  std::ostringstream out;
-  store::Writer writer(&out, writer_options);
+  auto sink = std::make_unique<store::BufferSink>();
+  store::BufferSink* out = sink.get();
+  store::Writer writer(std::move(sink), writer_options);
   crawler::Crawler crawler(view);
   crawler::CrawlOptions options;
   options.threads = threads;
@@ -62,7 +63,7 @@ std::string pack_wave(const corpus::CorpusView& view, int threads,
   crawler.crawl(view.size(), options, [](instrument::VisitLog&&) {});
   store::Error error;
   EXPECT_TRUE(writer.finish(&error)) << error.to_string();
-  return out.str();
+  return out->bytes();
 }
 
 /// The provenance every wave of a chain shares (corpus seed, the default

@@ -5,7 +5,7 @@
 // per parser, checking no-crash plus structural invariants.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <memory>
 #include <string>
 
 #include "cookies/cookie_jar.h"
@@ -274,11 +274,12 @@ TEST(FuzzTest, JsonParserToleratesMalformedStringEscapes) {
 /// A small but structurally rich archive: several sites, shared strings,
 /// every record channel populated.
 std::string seed_archive(script::Rng& rng) {
-  std::ostringstream out;
+  auto sink = std::make_unique<store::BufferSink>();
+  store::BufferSink* out = sink.get();
   store::WriterOptions writer_options;
   writer_options.corpus_seed = 0xC0FFEEu;
   writer_options.fault_seed = 0xFA17u;
-  store::Writer writer(&out, writer_options);
+  store::Writer writer(std::move(sink), writer_options);
   for (int rank = 0; rank < 8; ++rank) {
     instrument::VisitLog log;
     log.site_host = "www.site" + std::to_string(rank) + ".com";
@@ -306,7 +307,7 @@ std::string seed_archive(script::Rng& rng) {
     writer.add(log);
   }
   EXPECT_TRUE(writer.finish());
-  return out.str();
+  return out->bytes();
 }
 
 /// Shared oracle: whatever `bytes` holds, opening and fully decoding it

@@ -4,7 +4,8 @@
 // and N-thread == 1-thread byte-identity.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "serve/query.h"
 #include "serve/server.h"
 #include "serve/workload.h"
+#include "store/chain.h"
 #include "store/delta_codec.h"
 #include "store/reader.h"
 #include "store/writer.h"
@@ -241,20 +243,43 @@ corpus::CorpusParams small_params(int sites) {
   return params;
 }
 
-/// Crawls `sites` sites and packs them into an in-memory CGAR image.
-std::string packed_archive(const corpus::Corpus& corpus) {
+/// Crawls `corpus` keeping the logs, so later waves can be derived by
+/// mutating them (serve_test builds its chains from store primitives — the
+/// evolution engine itself is covered in evolve_test).
+std::vector<instrument::VisitLog> crawl_logs(const corpus::Corpus& corpus) {
   crawler::Crawler crawler(corpus);
-  crawler::CrawlOptions options;
-  store::WriterOptions writer_options;
-  writer_options.corpus_seed = corpus.params().seed;
-  const fault::FaultPlan plan = crawler.plan_for(options);
-  writer_options.fault_seed = plan.enabled() ? plan.params().seed : 0;
-  std::ostringstream sink;
-  store::Writer writer(&sink, writer_options);
-  crawler.crawl(corpus.size(), options,
-                [&](instrument::VisitLog&& log) { writer.add(log); });
+  std::vector<instrument::VisitLog> logs;
+  crawler.crawl(corpus.size(), crawler::CrawlOptions{},
+                [&](instrument::VisitLog&& log) {
+                  logs.push_back(std::move(log));
+                });
+  return logs;
+}
+
+/// The provenance `cgsim pack` records for a default crawl of `corpus`.
+store::WriterOptions wave0_options(const corpus::Corpus& corpus) {
+  crawler::Crawler crawler(corpus);
+  store::WriterOptions options;
+  options.corpus_seed = corpus.params().seed;
+  const fault::FaultPlan plan = crawler.plan_for(crawler::CrawlOptions{});
+  options.fault_seed = plan.enabled() ? plan.params().seed : 0;
+  return options;
+}
+
+/// Packs `logs` into an in-memory full CGAR image.
+std::string pack_logs(const std::vector<instrument::VisitLog>& logs,
+                      const store::WriterOptions& options) {
+  auto sink = std::make_unique<store::BufferSink>();
+  store::BufferSink* out = sink.get();
+  store::Writer writer(std::move(sink), options);
+  for (const auto& log : logs) writer.add(log);
   EXPECT_TRUE(writer.finish());
-  return sink.str();
+  return out->bytes();
+}
+
+/// Crawls `corpus` and packs it into an in-memory CGAR image.
+std::string packed_archive(const corpus::Corpus& corpus) {
+  return pack_logs(crawl_logs(corpus), wave0_options(corpus));
 }
 
 std::unique_ptr<Server> server_over(const std::string& archive,
@@ -369,54 +394,104 @@ TEST(ServerTest, ConcurrentReadersMatchSequentialAnswers) {
   }
 }
 
-TEST(ServerTest, TwoArchivesMergeInLoadOrder) {
-  // One corpus crawled once, packed whole vs. re-served; the aggregate over
-  // the single archive must match table1 over the same archive listed twice
-  // only in the lookups-first-wins sense: ranks resolve identically.
-  corpus::Corpus corpus(small_params(20));
-  const std::string archive = packed_archive(corpus);
-  store::Error error;
-  auto r1 = store::Reader::from_buffer(archive, &error);
-  auto r2 = store::Reader::from_buffer(archive, &error);
-  ASSERT_TRUE(r1.has_value() && r2.has_value());
-  std::vector<store::Reader> readers;
-  readers.push_back(std::move(*r1));
-  readers.push_back(std::move(*r2));
-  auto server = Server::from_readers(std::move(readers), {}, &error);
-  ASSERT_NE(server, nullptr);
-  EXPECT_EQ(server->archive_count(), 2);
-
-  // Per-site answers must come from the first archive (identical content
-  // here, so they must equal the single-archive answer apart from nothing).
-  const auto single = server_over(archive);
-  Query q;
-  q.kind = QueryKind::kSite;
-  q.rank = 3;
-  EXPECT_EQ(server->handle_text(q), single->handle_text(q));
-}
-
 // ---- wave chains ----------------------------------------------------------
 
-/// Crawls `corpus` keeping the logs, so a second wave can be derived by
-/// mutating them (serve_test builds its chain from store primitives — the
-/// evolution engine itself is covered in evolve_test).
-std::vector<instrument::VisitLog> crawl_logs(const corpus::Corpus& corpus) {
-  crawler::Crawler crawler(corpus);
-  std::vector<instrument::VisitLog> logs;
-  crawler.crawl(corpus.size(), crawler::CrawlOptions{},
-                [&](instrument::VisitLog&& log) {
-                  logs.push_back(std::move(log));
-                });
-  return logs;
+/// WriterOptions for the delta wave after `base`, with the BaseProvenance
+/// `cgsim pack --base` records.
+store::WriterOptions delta_options(const store::Reader& base,
+                                   store::WriterOptions options) {
+  options.kind = store::ArchiveKind::kDelta;
+  options.wave = base.wave() + 1;
+  options.base.corpus_seed = base.corpus_seed();
+  options.base.fault_seed = base.fault_seed();
+  options.base.evolution_seed = base.evolution_seed();
+  options.base.policy = base.policy();
+  options.base.wave = base.wave();
+  options.base.site_count =
+      static_cast<std::uint32_t>(base.total_site_count());
+  options.base.footer_crc = base.footer_crc();
+  return options;
 }
 
-store::WriterOptions wave0_options(const corpus::Corpus& corpus) {
-  crawler::Crawler crawler(corpus);
-  store::WriterOptions options;
-  options.corpus_seed = corpus.params().seed;
-  const fault::FaultPlan plan = crawler.plan_for(crawler::CrawlOptions{});
-  options.fault_seed = plan.enabled() ? plan.params().seed : 0;
-  return options;
+/// Packs `logs` as a delta against the full archive `base` the way the
+/// crawler does: materialize each rank through a one-link chain, then
+/// make_wave_block.
+std::string pack_delta(const store::Reader& base,
+                       const std::vector<instrument::VisitLog>& logs,
+                       const store::WriterOptions& options) {
+  store::Error error;
+  const auto chain = store::WaveChain::link({&base}, &error);
+  EXPECT_TRUE(chain.has_value()) << error.to_string();
+  if (!chain) return {};
+  auto sink = std::make_unique<store::BufferSink>();
+  store::BufferSink* out = sink.get();
+  store::Writer writer(std::move(sink), options);
+  for (const auto& log : logs) {
+    const auto base_payload = chain->payload_at(log.rank, 0, &error);
+    EXPECT_TRUE(error.ok()) << error.to_string();
+    std::optional<std::string_view> base_view;
+    if (base_payload) base_view = *base_payload;
+    store::WaveBlock block = store::make_wave_block(base_view, log);
+    if (block.kind == store::WaveBlock::Kind::kInherited) {
+      EXPECT_TRUE(writer.add_inherited(log.rank));
+    } else {
+      EXPECT_TRUE(writer.append_delta_block(log.rank, std::move(block.block)));
+    }
+  }
+  EXPECT_TRUE(writer.finish(&error)) << error.to_string();
+  return out->bytes();
+}
+
+TEST(ServerTest, RejectsArchiveListsThatAreNotOneChain) {
+  // cgserve reads an archive list exactly as `cgsim query` does: one
+  // base+delta chain. Anything else would double-count or mix crawls.
+  corpus::Corpus corpus(small_params(10));
+  auto logs = crawl_logs(corpus);
+  const store::WriterOptions base_options = wave0_options(corpus);
+  const std::string w0 = pack_logs(logs, base_options);
+  store::Error error;
+  const auto base = store::Reader::from_buffer(w0, &error);
+  ASSERT_TRUE(base.has_value()) << error.to_string();
+  logs[1].requests.clear();
+  const std::string w1 =
+      pack_delta(*base, logs, delta_options(*base, base_options));
+  // The same delta recorded under another policy than its base's.
+  store::WriterOptions mixed_options = delta_options(*base, base_options);
+  mixed_options.policy = store::ArchivePolicy::kCookieGuard;
+  const std::string mixed = pack_delta(*base, logs, mixed_options);
+
+  const struct {
+    const char* name;
+    std::vector<const std::string*> archives;
+    fault::ArchiveFault expected;
+  } lists[] = {
+      {"two full archives", {&w0, &w0}, fault::ArchiveFault::kBaseMismatch},
+      {"delta first", {&w1, &w0}, fault::ArchiveFault::kDeltaUnresolved},
+      {"policy-mixed", {&w0, &mixed}, fault::ArchiveFault::kBaseMismatch},
+  };
+  for (const auto& list : lists) {
+    std::vector<store::Reader> readers;
+    std::vector<const store::Reader*> chain_readers;
+    for (const std::string* archive : list.archives) {
+      auto reader = store::Reader::from_buffer(*archive, &error);
+      ASSERT_TRUE(reader.has_value()) << list.name << error.to_string();
+      readers.push_back(std::move(*reader));
+    }
+    for (const store::Reader& reader : readers) {
+      chain_readers.push_back(&reader);
+    }
+    // What `cgsim query` reports for this list...
+    store::Error link_error;
+    EXPECT_FALSE(store::WaveChain::link(chain_readers, &link_error))
+        << list.name;
+    EXPECT_EQ(link_error.code, list.expected) << list.name;
+    // ...is what the server refuses to come up with.
+    store::Error serve_error;
+    EXPECT_EQ(Server::from_readers(std::move(readers), {}, &serve_error),
+              nullptr)
+        << list.name;
+    EXPECT_EQ(serve_error.code, link_error.code) << list.name;
+  }
 }
 
 TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
@@ -426,48 +501,19 @@ TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
 
   // Wave 0: a full archive of the crawl.
   const store::WriterOptions base_options = wave0_options(corpus);
-  std::ostringstream w0_sink;
-  {
-    store::Writer writer(&w0_sink, base_options);
-    for (const auto& log : logs) writer.add(log);
-    ASSERT_TRUE(writer.finish());
-  }
+  const std::string w0 = pack_logs(logs, base_options);
   store::Error error;
-  auto base = store::Reader::from_buffer(w0_sink.str(), &error);
+  auto base = store::Reader::from_buffer(w0, &error);
   ASSERT_TRUE(base.has_value()) << error.to_string();
 
   // Wave 1: one site's requests disappear; everything else inherits.
   auto wave1 = logs;
   wave1[1].requests.clear();
-  store::WriterOptions delta_options = base_options;
-  delta_options.kind = store::ArchiveKind::kDelta;
-  delta_options.wave = 1;
-  delta_options.base.corpus_seed = base->corpus_seed();
-  delta_options.base.fault_seed = base->fault_seed();
-  delta_options.base.evolution_seed = base->evolution_seed();
-  delta_options.base.policy = base->policy();
-  delta_options.base.wave = base->wave();
-  delta_options.base.site_count =
-      static_cast<std::uint32_t>(base->total_site_count());
-  delta_options.base.footer_crc = base->footer_crc();
-  std::ostringstream w1_sink;
-  {
-    store::Writer writer(&w1_sink, delta_options);
-    for (const auto& log : wave1) {
-      auto block = store::encode_wave_block(*base, log, &error);
-      ASSERT_TRUE(block.has_value()) << error.to_string();
-      if (block->kind == store::WaveBlock::Kind::kInherited) {
-        ASSERT_TRUE(writer.add_inherited(log.rank));
-      } else {
-        ASSERT_TRUE(writer.append_delta_block(log.rank,
-                                              std::move(block->block)));
-      }
-    }
-    ASSERT_TRUE(writer.finish());
-  }
+  const std::string w1 =
+      pack_delta(*base, wave1, delta_options(*base, base_options));
 
-  // A delta among the loaded archives switches the server to chain mode.
-  auto delta = store::Reader::from_buffer(w1_sink.str(), &error);
+  // Base then delta: the list is one two-wave chain.
+  auto delta = store::Reader::from_buffer(w1, &error);
   ASSERT_TRUE(delta.has_value()) << error.to_string();
   std::vector<store::Reader> readers;
   readers.push_back(std::move(*base));
@@ -499,13 +545,7 @@ TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
   // queries materialize rank 2 through the chain.
   store::WriterOptions full1_options = base_options;
   full1_options.wave = 1;
-  std::ostringstream full1_sink;
-  {
-    store::Writer writer(&full1_sink, full1_options);
-    for (const auto& log : wave1) writer.add(log);
-    ASSERT_TRUE(writer.finish());
-  }
-  const auto reference = server_over(full1_sink.str());
+  const auto reference = server_over(pack_logs(wave1, full1_options));
   for (const auto kind : {QueryKind::kTable1, QueryKind::kTotals}) {
     Query q;
     q.kind = kind;
@@ -527,13 +567,35 @@ TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
   EXPECT_EQ(chain_site.find("records")->find("requests")->as_int(), 0);
 }
 
-TEST(ServerTest, WavesQueryWithoutAChainIsAnErrorAnswer) {
+TEST(ServerTest, WavesQueryOnOneArchiveIsAOneRowTrend) {
   corpus::Corpus corpus(small_params(10));
   const auto server = server_over(packed_archive(corpus));
   Query q;
   q.kind = QueryKind::kWaves;
-  const auto answer = server->handle(q);
-  ASSERT_NE(answer.find("error"), nullptr);
+  const auto trend = server->handle(q);
+  ASSERT_EQ(trend.find("error"), nullptr);
+  EXPECT_EQ(trend.find("waves")->as_int(), 1);
+  const report::Json* rows = trend.find("rows");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->size(), 1u);
+  const report::Json& row = rows->at(0);
+  EXPECT_EQ(row.find("wave")->as_int(-1), 0);
+
+  // A single archive is a one-wave chain: its one row is the totals answer.
+  q.kind = QueryKind::kTotals;
+  const auto totals = server->handle(q);
+  for (const char* key :
+       {"sites_crawled", "sites_complete", "sites_with_third_party",
+        "third_party_scripts", "tp_cookies_set", "fp_cookies_set",
+        "unique_pairs", "cross_overwrites"}) {
+    ASSERT_NE(row.find(key), nullptr) << key;
+    ASSERT_NE(totals.find(key), nullptr) << key;
+    EXPECT_EQ(row.find(key)->as_int(-1), totals.find(key)->as_int(-2))
+        << key;
+  }
+  const auto stats = server->stats_json();
+  EXPECT_EQ(stats.find("waves")->as_int(), 1);
+  EXPECT_EQ(stats.find("queries")->find("errors")->as_int(-1), 0);
 }
 
 TEST(ServerTest, RejectsCorruptArchive) {

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -128,13 +128,14 @@ std::string pack_to_string(const corpus::Corpus& corpus, int threads) {
   writer_options.corpus_seed = corpus.params().seed;
   const fault::FaultPlan plan = crawler.plan_for(options);
   writer_options.fault_seed = plan.enabled() ? plan.params().seed : 0;
-  std::ostringstream out;
-  Writer writer(&out, writer_options);
+  auto sink = std::make_unique<BufferSink>();
+  BufferSink* out = sink.get();
+  Writer writer(std::move(sink), writer_options);
   options.archive = &writer;
   crawler.crawl(corpus.size(), options, [](instrument::VisitLog&&) {});
   Error error;
   EXPECT_TRUE(writer.finish(&error)) << error.to_string();
-  return out.str();
+  return out->bytes();
 }
 
 std::filesystem::path temp_path(const char* name) {
@@ -301,11 +302,12 @@ TEST(StoreRoundTripTest, CrawlArchiveReplaysEveryLogExactly) {
   crawler::CrawlOptions options;
 
   std::vector<std::string> live_payloads;
-  std::ostringstream out;
+  auto sink = std::make_unique<BufferSink>();
+  BufferSink* out = sink.get();
   WriterOptions writer_options;
   writer_options.corpus_seed = corpus.params().seed;
   writer_options.fault_seed = 7;
-  Writer writer(&out, writer_options);
+  Writer writer(std::move(sink), writer_options);
   options.archive = &writer;
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     live_payloads.push_back(encode_site_payload(log));
@@ -314,7 +316,7 @@ TEST(StoreRoundTripTest, CrawlArchiveReplaysEveryLogExactly) {
   ASSERT_TRUE(writer.finish(&error)) << error.to_string();
   EXPECT_EQ(writer.sites_written(), corpus.size());
 
-  const auto reader = Reader::from_buffer(out.str(), &error);
+  const auto reader = Reader::from_buffer(out->bytes(), &error);
   ASSERT_TRUE(reader.has_value()) << error.to_string();
   EXPECT_EQ(reader->site_count(), corpus.size());
   EXPECT_EQ(reader->corpus_seed(), corpus.params().seed);
@@ -530,12 +532,13 @@ std::vector<instrument::VisitLog> wave1_logs() {
 
 std::string pack_full(const std::vector<instrument::VisitLog>& logs,
                       WriterOptions options = {}) {
-  std::ostringstream out;
-  Writer writer(&out, options);
+  auto sink = std::make_unique<BufferSink>();
+  BufferSink* out = sink.get();
+  Writer writer(std::move(sink), options);
   for (const auto& log : logs) writer.add(log);
   Error error;
   EXPECT_TRUE(writer.finish(&error)) << error.to_string();
-  return out.str();
+  return out->bytes();
 }
 
 /// WriterOptions for the next delta wave, with BaseProvenance copied from
@@ -558,25 +561,34 @@ WriterOptions delta_options_for(const Reader& tail, std::uint32_t wave) {
   return options;
 }
 
+/// Packs `logs` as a delta wave against the full archive `base` the way
+/// the crawler does: materialize each rank through a one-link chain, then
+/// make_wave_block.
 std::string pack_delta(const Reader& base,
                        const std::vector<instrument::VisitLog>& logs,
                        std::uint32_t wave) {
-  std::ostringstream out;
-  Writer writer(&out, delta_options_for(base, wave));
+  Error error;
+  const auto chain = WaveChain::link({&base}, &error);
+  EXPECT_TRUE(chain.has_value()) << error.to_string();
+  if (!chain) return {};
+  auto sink = std::make_unique<BufferSink>();
+  BufferSink* out = sink.get();
+  Writer writer(std::move(sink), delta_options_for(base, wave));
   for (const auto& log : logs) {
-    Error error;
-    auto block = encode_wave_block(base, log, &error);
-    EXPECT_TRUE(block.has_value()) << error.to_string();
-    if (!block) continue;
-    if (block->kind == WaveBlock::Kind::kInherited) {
+    Error base_error;
+    const auto base_payload = chain->payload_at(log.rank, 0, &base_error);
+    EXPECT_TRUE(base_error.ok()) << base_error.to_string();
+    std::optional<std::string_view> base_view;
+    if (base_payload) base_view = *base_payload;
+    WaveBlock block = make_wave_block(base_view, log);
+    if (block.kind == WaveBlock::Kind::kInherited) {
       writer.add_inherited(log.rank);
     } else {
-      writer.append_delta_block(log.rank, std::move(block->block));
+      writer.append_delta_block(log.rank, std::move(block.block));
     }
   }
-  Error error;
   EXPECT_TRUE(writer.finish(&error)) << error.to_string();
-  return out.str();
+  return out->bytes();
 }
 
 TEST(DeltaCodecTest, DiffAppliesBackToTargetAndPinsItsBase) {
@@ -786,8 +798,7 @@ TEST(StoreRejectionTest, LegacyFooterWithoutExtensionDecodesAsDefaults) {
 }
 
 TEST(StoreRejectionTest, WriterRefusesOutOfOrderRanks) {
-  std::ostringstream out;
-  Writer writer(&out, {});
+  Writer writer(std::make_unique<BufferSink>(), {});
   instrument::VisitLog log = dense_log();
   log.rank = 5;
   writer.add(log);

@@ -1,10 +1,14 @@
 // cgserve — the CGAR serving daemon/CLI.
 //
-// Opens one or more archives, pays the load-time fold once, then answers
+// Opens one archive chain, pays the load-time fold once, then answers
 // queries in the line protocol of serve/query.h:
 //
 //   cgserve --archive crawl.cgar --query "site 17" --query table1
-//   cgserve --archive a.cgar --archive b.cgar            # REPL on stdin
+//   cgserve --archive w0.cgar --archive w1.cgar          # REPL on stdin
+//
+// The --archive list is one base+delta wave chain, read exactly as
+// `cgsim query --archive w0.cgar,w1.cgar` reads it; a list that is not one
+// chain does not serve (exit 1).
 //
 // One-shot --query flags run in order and exit; with none, cgserve reads
 // queries from stdin until EOF ("quit" also exits) — that loop is the
@@ -14,7 +18,6 @@
 // clean for consumers.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "obs/metrics.h"
 #include "report/json.h"
 #include "serve/server.h"
+#include "store/atomic_file.h"
 
 namespace {
 
@@ -32,12 +36,14 @@ using cg::serve::ServerConfig;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: cgserve --archive FILE [--archive FILE...]\n"
+               "usage: cgserve --archive BASE [--archive DELTA...]\n"
                "               [--query LINE...] [--timing] [--metrics FILE]\n"
                "               [--cache-entries N]\n"
                "queries: site <rank> | table1 | totals | top-exfiltrated [n]\n"
                "         | top-domains [n] | entity <name> | stats\n"
-               "         | waves [domain]   (base+delta archive chains)\n");
+               "         | waves [domain]\n"
+               "archives: one full archive, then the delta archives of\n"
+               "          its later waves in order\n");
   return 2;
 }
 
@@ -109,10 +115,9 @@ int main(int argc, char** argv) {
   if (const auto path = flags.find("metrics")) {
     cg::obs::MetricsRegistry registry;
     server->export_metrics(registry);
-    std::ofstream out(path->text);
-    out << registry.to_json().dump(2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cgserve: cannot write %s\n", path->text.c_str());
+    if (!cg::store::write_file_atomic(
+            path->text, registry.to_json().dump(2) + "\n", &error)) {
+      std::fprintf(stderr, "cgserve: %s\n", error.to_string().c_str());
       return 1;
     }
   }

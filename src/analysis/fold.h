@@ -10,8 +10,9 @@
 // (src/serve/) are both just this fold + merge:
 //
 //   batch:  summary = fold(v0) ⊕ fold(v1) ⊕ ... ⊕ fold(vN)   (one pass)
-//   serve:  the ⊕-prefix is precomputed at load; per-site queries fold a
-//           single decoded block, aggregate queries read the prefix.
+//   serve:  the ⊕-prefix is precomputed at load; a per-site query folds a
+//           single decoded block (once; its answer is cached), aggregate
+//           queries read the prefix.
 //
 // Because merge is associative and rank-ordered merges of disjoint shards
 // equal a sequential fold (the PR 2 parallel-crawl identity, proven at 20k

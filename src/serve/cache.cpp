@@ -22,12 +22,10 @@ BlockCache::BlockCache(CacheConfig config) : config_(config) {
   }
 }
 
-std::shared_ptr<const instrument::VisitLog> BlockCache::get(
-    std::uint32_t archive, int rank) {
+BlockCache::Answer BlockCache::get(int rank) {
   Shard& shard = shard_for(rank);
-  const Key key{archive, rank};
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
+  const auto it = shard.index.find(rank);
   if (it == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -35,32 +33,26 @@ std::shared_ptr<const instrument::VisitLog> BlockCache::get(
   // Refresh: splice the entry to the front of the LRU list.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->log;
+  return it->second->answer;
 }
 
-void BlockCache::put(std::uint32_t archive, int rank,
-                     std::uint64_t encoded_bytes,
-                     std::shared_ptr<const instrument::VisitLog> log) {
-  if (per_shard_capacity_ == 0 || encoded_bytes > config_.max_block_bytes) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+void BlockCache::put(int rank, Answer answer) {
+  if (per_shard_capacity_ == 0) return;
   Shard& shard = shard_for(rank);
-  const Key key{archive, rank};
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
+  const auto it = shard.index.find(rank);
   if (it != shard.index.end()) {
-    // Another thread decoded the same block first; keep the incumbent.
+    // Another thread rendered the same answer first; keep the incumbent.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
   if (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
+    shard.index.erase(shard.lru.back().rank);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.lru.push_front(Entry{key, std::move(log)});
-  shard.index[key] = shard.lru.begin();
+  shard.lru.push_front(Entry{rank, std::move(answer)});
+  shard.index[rank] = shard.lru.begin();
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -70,7 +62,6 @@ BlockCache::Stats BlockCache::stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.rejected_admission = rejected_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     stats.entries += static_cast<std::int64_t>(shard->lru.size());
@@ -84,7 +75,6 @@ void BlockCache::export_metrics(obs::MetricsRegistry& registry) const {
   registry.add("serve.cache.misses", stats.misses);
   registry.add("serve.cache.insertions", stats.insertions);
   registry.add("serve.cache.evictions", stats.evictions);
-  registry.add("serve.cache.rejected_admission", stats.rejected_admission);
   registry.gauge_max("serve.cache.entries", stats.entries);
   registry.gauge_max("serve.cache.capacity",
                      static_cast<std::int64_t>(per_shard_capacity_ *

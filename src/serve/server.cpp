@@ -101,7 +101,7 @@ std::unique_ptr<Server> Server::from_readers(
     if (!ok) return nullptr;  // a corrupt or unresolvable chain must not serve
     server->waves_.push_back(std::move(info));
   }
-  server->waves_answer_ = server->build_waves();
+  server->waves_answer_ = server->build_waves().dump();
   const analysis::SiteSummary& newest = server->aggregate();
 
   // Per-entity index over the newest wave's pair map.
@@ -130,56 +130,49 @@ std::unique_ptr<Server> Server::from_readers(
   // (four passes each); at 20k sites that is ~12 ms per query if done at
   // query time. The rankers are full deterministic sorts, so top-N queries
   // are prefix slices of the complete rankings precomputed here.
-  server->table1_answer_ = server->build_table1();
-  server->totals_answer_ = server->build_totals();
+  server->table1_answer_ = server->build_table1().dump();
+  server->totals_answer_ = server->build_totals().dump();
   server->ranked_exfiltrated_ = newest.top_exfiltrated(newest.pairs.size());
   server->ranked_domains_ =
       newest.top_exfiltrator_domains(newest.domains.size());
   return server;
 }
 
-std::shared_ptr<const instrument::VisitLog> Server::load_site(
-    int rank, store::Error* error) const {
-  // Cached under the newest wave's archive index; admission is keyed by
-  // the materialized payload size.
+std::string Server::handle_site(const Query& query) const {
+  const auto fail = [&](const std::string& detail) {
+    query_errors_.fetch_add(1, std::memory_order_relaxed);
+    return error_json(query, detail).dump();
+  };
   const int top = chain_.waves() - 1;
   const std::vector<int>& ranks = chain_.ranks(top);
-  if (!std::binary_search(ranks.begin(), ranks.end(), rank)) {
+  if (!std::binary_search(ranks.begin(), ranks.end(), query.rank)) {
     // Not a site of the served wave, so no cache traffic either.
-    if (error != nullptr) {
-      *error = {fault::ArchiveFault::kNone,
-                "rank " + std::to_string(rank) + " is not in wave " +
-                    std::to_string(chain_.archive(top).wave())};
-    }
-    return nullptr;
+    return fail("rank " + std::to_string(query.rank) + " is not in wave " +
+                std::to_string(chain_.archive(top).wave()));
   }
-  const auto key = static_cast<std::uint32_t>(top);
-  if (auto cached = cache_.get(key, rank)) return cached;
-  const auto payload = chain_.payload_at(rank, top, error);
-  if (!payload) return nullptr;
-  auto log = store::decode_site_payload(*payload, error);
-  if (!log) return nullptr;
-  auto shared = std::make_shared<const instrument::VisitLog>(std::move(*log));
-  cache_.put(key, rank, payload->size(), shared);
-  return shared;
+  if (BlockCache::Answer cached = cache_.get(query.rank)) return *cached;
+  store::Error error;
+  auto answer = render_site(query.rank, &error);
+  if (!answer) return fail(error.to_string());  // errors are never cached
+  cache_.put(query.rank, std::make_shared<const std::string>(*answer));
+  return std::move(*answer);
 }
 
-report::Json Server::handle_site(const Query& query) const {
-  store::Error error;
-  const auto log = load_site(query.rank, &error);
-  if (log == nullptr) {
-    return error_json(query, error.code == fault::ArchiveFault::kNone
-                                 ? error.detail
-                                 : error.to_string());
-  }
+std::optional<std::string> Server::render_site(int rank,
+                                               store::Error* error) const {
+  const int top = chain_.waves() - 1;
+  const auto payload = chain_.payload_at(rank, top, error);
+  if (!payload) return std::nullopt;
+  const auto log = store::decode_site_payload(*payload, error);
+  if (!log) return std::nullopt;
   const analysis::SiteSummary folded =
       analysis::fold_visit(entities::EntityMap::builtin(), {}, *log);
   const analysis::Totals& t = folded.totals;
 
   report::Json out = report::Json::object();
   out["kind"] = "site";
-  out["rank"] = query.rank;
-  out["archive"] = chain_.waves() - 1;
+  out["rank"] = rank;
+  out["archive"] = top;
   out["site"] = log->site;
   out["host"] = log->site_host;
   out["complete"] = log->complete();
@@ -205,7 +198,7 @@ report::Json Server::handle_site(const Query& query) const {
   a["overwritten"] = t.sites_doc_overwrite + t.sites_store_overwrite > 0;
   a["deleted"] = t.sites_doc_delete + t.sites_store_delete > 0;
   out["analysis"] = std::move(a);
-  return out;
+  return out.dump();
 }
 
 report::Json Server::build_table1() const {
@@ -275,15 +268,14 @@ report::Json Server::build_waves() const {
   return out;
 }
 
-report::Json Server::handle_waves(const Query& query) const {
-  if (query.domain.empty()) return waves_answer_;
+report::Json Server::handle_domain_waves(const std::string& domain) const {
   // Per-domain trend: one map lookup per wave against the precomputed
   // per-wave summaries.
   report::Json rows = report::Json::array();
   for (const WaveInfo& info : waves_) {
     report::Json row = report::Json::object();
     row["wave"] = static_cast<std::int64_t>(info.wave);
-    const auto it = info.summary.domains.find(query.domain);
+    const auto it = info.summary.domains.find(domain);
     const bool known = it != info.summary.domains.end();
     row["known"] = known;
     row["exfiltrated_pairs"] = static_cast<std::int64_t>(
@@ -296,7 +288,7 @@ report::Json Server::handle_waves(const Query& query) const {
   }
   report::Json out = report::Json::object();
   out["kind"] = "waves";
-  out["domain"] = query.domain;
+  out["domain"] = domain;
   out["waves"] = static_cast<std::int64_t>(waves_.size());
   out["rows"] = std::move(rows);
   return out;
@@ -360,41 +352,38 @@ report::Json Server::handle_entity(const std::string& entity) const {
   return out;
 }
 
-report::Json Server::handle(const Query& query) const {
+std::string Server::handle_text(const Query& query) const {
   const int kind_index = static_cast<int>(query.kind);
   if (kind_index >= 0 && kind_index < kQueryKindCount) {
     queries_by_kind_[static_cast<std::size_t>(kind_index)].fetch_add(
         1, std::memory_order_relaxed);
   }
   switch (query.kind) {
-    case QueryKind::kSite: {
-      report::Json out = handle_site(query);
-      if (out.find("error") != nullptr) {
-        query_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return out;
-    }
+    case QueryKind::kSite:
+      return handle_site(query);
     case QueryKind::kTable1:
       return table1_answer_;
     case QueryKind::kTotals:
       return totals_answer_;
     case QueryKind::kTopExfiltrated:
-      return handle_top_exfiltrated(query.top_n);
+      return handle_top_exfiltrated(query.top_n).dump();
     case QueryKind::kTopDomains:
-      return handle_top_domains(query.top_n);
+      return handle_top_domains(query.top_n).dump();
     case QueryKind::kEntity:
-      return handle_entity(query.entity);
+      return handle_entity(query.entity).dump();
     case QueryKind::kStats:
-      return stats_json();
+      return stats_json().dump();
     case QueryKind::kWaves:
-      return handle_waves(query);
+      return query.domain.empty() ? waves_answer_
+                                  : handle_domain_waves(query.domain).dump();
   }
   query_errors_.fetch_add(1, std::memory_order_relaxed);
-  return error_json(query, "unknown query kind");
+  return error_json(query, "unknown query kind").dump();
 }
 
-std::string Server::handle_text(const Query& query) const {
-  return handle(query).dump();
+report::Json Server::handle(const Query& query) const {
+  // Every answer is a dump(), which parse() always reads back.
+  return *report::Json::parse(handle_text(query));
 }
 
 report::Json Server::stats_json() const {
@@ -438,7 +427,6 @@ report::Json Server::stats_json() const {
   c["misses"] = cache.misses;
   c["insertions"] = cache.insertions;
   c["evictions"] = cache.evictions;
-  c["rejected_admission"] = cache.rejected_admission;
   c["entries"] = cache.entries;
   out["cache"] = std::move(c);
   return out;

@@ -6,20 +6,23 @@
 // per-entity index, and render the aggregate answers — and every query
 // afterwards is cheap:
 //
-//   per-site (kSite):  footer-index random access -> hot block cache ->
-//                      one-block decode + single-visit fold. Never a scan.
-//   aggregates:        table1/totals return answers rendered at load;
-//                      top-N queries slice full precomputed rankings.
-//                      Never a walk, never a re-fold, never a pair-map scan.
+//   per-site (kSite):  answer cache (serve/cache.h) -> the cached answer
+//                      bytes. A miss renders once: footer-index random
+//                      access, one-block decode, single-visit fold, dump.
+//                      Never a scan.
+//   aggregates:        table1/totals/waves return the bytes rendered at
+//                      load; top-N queries slice full precomputed
+//                      rankings. Never a walk, never a re-fold, never a
+//                      pair-map scan.
 //
-// handle() is const and thread-safe: archives, summaries, and the entity
-// index are immutable after open(); the block cache locks per shard; query
-// counters are atomics. Answers are rendered to report::Json with sorted
-// keys, so the response to a given query is byte-identical regardless of
-// thread count, interleaving, or cache state — the property bench_serve
-// and serve_test assert. (The entity map is the builtin static table, so
-// folds need no corpus reconstruction; the footer's corpus_seed is kept
-// only as provenance in stats.)
+// handle_text() is const and thread-safe: archives, summaries, and the
+// entity index are immutable after open(); the answer cache locks per
+// shard; query counters are atomics. Answers are rendered through
+// report::Json with sorted keys, so the response to a given query is
+// byte-identical regardless of thread count, interleaving, or cache state —
+// the property bench_serve and serve_test assert. (The entity map is the
+// builtin static table, so folds need no corpus reconstruction; the
+// footer's corpus_seed is kept only as provenance in stats.)
 //
 // The archive list is one base+delta wave chain (store::WaveChain::link
 // validates the provenance linkage), exactly as `cgsim query` reads it: a
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,14 +93,15 @@ class Server {
     return waves_.back().summary;
   }
 
-  /// Answers one query. Always returns a JSON object; failures (unknown
-  /// rank, corrupt block) come back as {"error": ..., "kind": ...} so the
-  /// line protocol never goes silent. Thread-safe.
-  report::Json handle(const Query& query) const;
-
-  /// handle() rendered as a compact single-line JSON string — the byte
-  /// string the determinism checks compare.
+  /// Answers one query as a compact single-line JSON object — the serving
+  /// path, and the byte string the determinism checks compare. Failures
+  /// (rank not in the served wave, corrupt block) come back as
+  /// {"error": ..., "kind": ...} so the line protocol never goes silent.
+  /// Thread-safe.
   std::string handle_text(const Query& query) const;
+
+  /// handle_text() parsed back into a JSON tree (tests read fields).
+  report::Json handle(const Query& query) const;
 
   /// Server introspection: archives, per-kind query counters, cache stats.
   report::Json stats_json() const;
@@ -115,21 +120,21 @@ class Server {
   Server(std::vector<Archive> archives, store::WaveChain chain,
          const ServerConfig& config);
 
-  report::Json handle_site(const Query& query) const;
+  std::string handle_site(const Query& query) const;
   report::Json handle_top_exfiltrated(int n) const;
   report::Json handle_top_domains(int n) const;
   report::Json handle_entity(const std::string& entity) const;
-  report::Json handle_waves(const Query& query) const;
+  report::Json handle_domain_waves(const std::string& domain) const;
 
   // Load-time renderers for the precomputed answers below.
   report::Json build_table1() const;
   report::Json build_totals() const;
   report::Json build_waves() const;
 
-  /// The newest wave's log of `rank`, through the cache. Null + error when
-  /// the rank is not in that wave or the chain cannot materialize it.
-  std::shared_ptr<const instrument::VisitLog> load_site(
-      int rank, store::Error* error) const;
+  /// Renders the newest wave's answer for `rank`: materialize the block
+  /// through the chain, decode, fold, dump. Nullopt + error when the chain
+  /// cannot materialize or decode it.
+  std::optional<std::string> render_site(int rank, store::Error* error) const;
 
   std::vector<Archive> archives_;
   /// The validated base+delta chain over archives_ (borrows their readers;
@@ -141,13 +146,14 @@ class Server {
     analysis::SiteSummary summary;
   };
   std::vector<WaveInfo> waves_;
-  report::Json waves_answer_;
   std::map<std::string, EntityAggregate> entity_index_;
-  // Aggregate answers rendered once at load: table1/totals are returned as
-  // copies, top-N queries slice the full precomputed rankings. At 20k sites
-  // a per-query pair-map scan costs ~12 ms; a copy costs microseconds.
-  report::Json table1_answer_;
-  report::Json totals_answer_;
+  // Aggregate answers rendered and dumped once at load: table1, totals and
+  // the bare waves trend are returned as stored bytes, top-N queries slice
+  // the full precomputed rankings. At 20k sites a per-query pair-map scan
+  // costs ~12 ms; returning stored bytes costs a string copy.
+  std::string waves_answer_;
+  std::string table1_answer_;
+  std::string totals_answer_;
   std::vector<analysis::SiteSummary::RankedPair> ranked_exfiltrated_;
   std::vector<std::pair<std::string, int>> ranked_domains_;
   mutable BlockCache cache_;

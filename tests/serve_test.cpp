@@ -1,11 +1,12 @@
-// Serving-tier tests: zipfian workload determinism and shape, hot-block
-// cache admission/eviction/stats semantics, the query line protocol, and
+// Serving-tier tests: zipfian workload determinism and shape, answer
+// cache eviction/stats semantics, the query line protocol, and
 // Server answers — aggregate == batch fold, per-site == random access,
 // and N-thread == 1-thread byte-identity.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,11 +153,9 @@ TEST(QueryParseTest, DefaultsAndRejects) {
 
 // ---- cache ----------------------------------------------------------------
 
-std::shared_ptr<const instrument::VisitLog> log_for(int rank) {
-  instrument::VisitLog log;
-  log.rank = rank;
-  log.site = "site" + std::to_string(rank) + ".com";
-  return std::make_shared<const instrument::VisitLog>(std::move(log));
+BlockCache::Answer answer_for(int rank) {
+  return std::make_shared<const std::string>(
+      "{\"kind\":\"site\",\"rank\":" + std::to_string(rank) + "}");
 }
 
 TEST(BlockCacheTest, HitMissAndCounters) {
@@ -164,11 +163,11 @@ TEST(BlockCacheTest, HitMissAndCounters) {
   config.max_entries = 4;
   config.shards = 1;
   BlockCache cache(config);
-  EXPECT_EQ(cache.get(0, 1), nullptr);
-  cache.put(0, 1, 100, log_for(1));
-  const auto hit = cache.get(0, 1);
+  EXPECT_EQ(cache.get(1), nullptr);
+  cache.put(1, answer_for(1));
+  const auto hit = cache.get(1);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->rank, 1);
+  EXPECT_EQ(*hit, *answer_for(1));
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
@@ -176,53 +175,30 @@ TEST(BlockCacheTest, HitMissAndCounters) {
   EXPECT_EQ(stats.entries, 1);
 }
 
-TEST(BlockCacheTest, ArchiveIndexIsPartOfTheKey) {
-  CacheConfig config;
-  config.shards = 1;
-  BlockCache cache(config);
-  cache.put(0, 1, 100, log_for(1));
-  EXPECT_EQ(cache.get(1, 1), nullptr);  // same rank, other archive
-  EXPECT_NE(cache.get(0, 1), nullptr);
-}
-
 TEST(BlockCacheTest, EvictsLeastRecentlyUsed) {
   CacheConfig config;
   config.max_entries = 2;
   config.shards = 1;
   BlockCache cache(config);
-  cache.put(0, 1, 100, log_for(1));
-  cache.put(0, 2, 100, log_for(2));
-  ASSERT_NE(cache.get(0, 1), nullptr);  // refresh 1; 2 becomes LRU
-  cache.put(0, 3, 100, log_for(3));     // evicts 2
-  EXPECT_EQ(cache.get(0, 2), nullptr);
-  EXPECT_NE(cache.get(0, 1), nullptr);
-  EXPECT_NE(cache.get(0, 3), nullptr);
+  cache.put(1, answer_for(1));
+  cache.put(2, answer_for(2));
+  ASSERT_NE(cache.get(1), nullptr);  // refresh 1; 2 becomes LRU
+  cache.put(3, answer_for(3));       // evicts 2
+  EXPECT_EQ(cache.get(2), nullptr);
+  EXPECT_NE(cache.get(1), nullptr);
+  EXPECT_NE(cache.get(3), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1);
   EXPECT_EQ(cache.stats().entries, 2);
-}
-
-TEST(BlockCacheTest, AdmissionRejectsOversizedBlocks) {
-  CacheConfig config;
-  config.max_block_bytes = 1000;
-  config.shards = 1;
-  BlockCache cache(config);
-  cache.put(0, 1, 1001, log_for(1));  // over the bound: never admitted
-  EXPECT_EQ(cache.get(0, 1), nullptr);
-  cache.put(0, 2, 1000, log_for(2));  // at the bound: admitted
-  EXPECT_NE(cache.get(0, 2), nullptr);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.rejected_admission, 1);
-  EXPECT_EQ(stats.insertions, 1);
 }
 
 TEST(BlockCacheTest, DuplicatePutKeepsIncumbent) {
   CacheConfig config;
   config.shards = 1;
   BlockCache cache(config);
-  const auto first = log_for(1);
-  cache.put(0, 1, 100, first);
-  cache.put(0, 1, 100, log_for(1));  // concurrent decode of the same block
-  EXPECT_EQ(cache.get(0, 1).get(), first.get());
+  const auto first = answer_for(1);
+  cache.put(1, first);
+  cache.put(1, answer_for(1));  // concurrent render of the same answer
+  EXPECT_EQ(cache.get(1).get(), first.get());
   EXPECT_EQ(cache.stats().insertions, 1);
 }
 
@@ -230,8 +206,8 @@ TEST(BlockCacheTest, ZeroCapacityDisablesCaching) {
   CacheConfig config;
   config.max_entries = 0;
   BlockCache cache(config);
-  cache.put(0, 1, 100, log_for(1));
-  EXPECT_EQ(cache.get(0, 1), nullptr);
+  cache.put(1, answer_for(1));
+  EXPECT_EQ(cache.get(1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
@@ -335,6 +311,9 @@ TEST(ServerTest, SiteAnswersAreStableAndCacheIsTransparent) {
 }
 
 TEST(ServerTest, UnknownRankIsAnErrorAnswerNotACrash) {
+  // A rank outside the served wave is the error a live server can return
+  // (from_readers refuses a corrupt block at load). It is answered the
+  // same way every time and never touches the answer cache.
   corpus::Corpus corpus(small_params(10));
   const auto server = server_over(packed_archive(corpus));
   Query q;
@@ -342,8 +321,26 @@ TEST(ServerTest, UnknownRankIsAnErrorAnswerNotACrash) {
   q.rank = 9999;
   const auto answer = server->handle(q);
   ASSERT_NE(answer.find("error"), nullptr);
+  EXPECT_EQ(server->handle_text(q), answer.dump());
+  const auto cache = server->cache().stats();
+  EXPECT_EQ(cache.misses, 0);
+  EXPECT_EQ(cache.insertions, 0);
   const auto stats = server->stats_json();
-  EXPECT_EQ(stats.find("queries")->find("errors")->as_int(), 1);
+  EXPECT_EQ(stats.find("queries")->find("errors")->as_int(), 2);
+}
+
+TEST(ServerTest, CacheHitsCountAsSiteQueries) {
+  corpus::Corpus corpus(small_params(10));
+  const auto server = server_over(packed_archive(corpus));
+  Query q;
+  q.kind = QueryKind::kSite;
+  q.rank = 1;
+  const std::string cold = server->handle_text(q);
+  EXPECT_EQ(cold, server->handle_text(q));
+  EXPECT_EQ(server->cache().stats().hits, 1);
+  const auto stats = server->stats_json();
+  EXPECT_EQ(stats.find("queries")->find("site")->as_int(), 2);
+  EXPECT_EQ(stats.find("queries")->find("errors")->as_int(), 0);
 }
 
 TEST(ServerTest, EntityQueriesDistinguishKnownFromUnknown) {
@@ -565,6 +562,47 @@ TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
   EXPECT_EQ(chain_site.find("analysis")->dump(),
             full_site.find("analysis")->dump());
   EXPECT_EQ(chain_site.find("records")->find("requests")->as_int(), 0);
+}
+
+TEST(ServerTest, HandleParsesTheServedBytes) {
+  // handle() is handle_text() parsed back, so no entry point can answer
+  // differently from the serving path. Stats is left out: its counters
+  // move between the two calls.
+  corpus::Corpus corpus(small_params(20));
+  auto logs = crawl_logs(corpus);
+  const store::WriterOptions base_options = wave0_options(corpus);
+  const std::string w0 = pack_logs(logs, base_options);
+  store::Error error;
+  auto base = store::Reader::from_buffer(w0, &error);
+  ASSERT_TRUE(base.has_value()) << error.to_string();
+  logs[1].requests.clear();
+  const std::string w1 =
+      pack_delta(*base, logs, delta_options(*base, base_options));
+  auto delta = store::Reader::from_buffer(w1, &error);
+  ASSERT_TRUE(delta.has_value()) << error.to_string();
+  std::vector<store::Reader> readers;
+  readers.push_back(std::move(*base));
+  readers.push_back(std::move(*delta));
+  const auto server = Server::from_readers(std::move(readers), {}, &error);
+  ASSERT_NE(server, nullptr) << error.to_string();
+
+  std::vector<std::string> lines = {
+      "site 2",        "site 2",        "site 999",
+      "table1",        "totals",        "top-exfiltrated 5",
+      "top-domains 3", "entity Google", "entity NoSuchEntity",
+      "waves"};
+  const auto& domains = server->aggregate().domains;
+  ASSERT_FALSE(domains.empty());
+  lines.push_back("waves " + domains.begin()->first);
+  std::set<QueryKind> kinds;
+  for (const std::string& line : lines) {
+    const auto q = parse_query(line);
+    ASSERT_TRUE(q.has_value()) << line;
+    kinds.insert(q->kind);
+    EXPECT_EQ(server->handle(*q).dump(), server->handle_text(*q)) << line;
+  }
+  EXPECT_EQ(kinds.count(QueryKind::kStats), 0u);
+  EXPECT_EQ(kinds.size(), static_cast<std::size_t>(kQueryKindCount - 1));
 }
 
 TEST(ServerTest, WavesQueryOnOneArchiveIsAOneRowTrend) {

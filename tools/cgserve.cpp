@@ -77,7 +77,8 @@ void answer(const Server& server, const std::string& line, bool timing) {
 int main(int argc, char** argv) {
   // --query LINE runs one-shot queries (none: a stdin REPL); --timing
   // prints per-query latency to stderr; --metrics FILE writes the serve.*
-  // counters; --cache-entries N sizes the block cache (0 disables it).
+  // counters; --cache-entries N sizes the per-site answer cache, counted in
+  // site answers (0 disables it).
   const auto flags = cg::cli::Flags::parse(
       "cgserve", argc, argv, 1,
       {.values = {"archive", "query", "metrics", "cache-entries"},

@@ -24,10 +24,12 @@ using namespace cg;
 
 webplat::StackTrace deep_stack() {
   webplat::StackTrace stack;
-  stack.push({"https://www.site1.com/assets/app.js", "boot", false});
-  stack.push({"https://www.googletagmanager.com/gtm.js", "inject", false});
-  stack.push({"https://cdn.tracker.com/t.js", "fire", true});
-  stack.push({"", "anonymous", false});
+  stack.push({"https://www.site1.com/assets/app.js", "site1.com", "boot",
+              false});
+  stack.push({"https://www.googletagmanager.com/gtm.js",
+              "googletagmanager.com", "inject", false});
+  stack.push({"https://cdn.tracker.com/t.js", "tracker.com", "fire", true});
+  stack.push({"", "", "anonymous", false});
   return stack;
 }
 

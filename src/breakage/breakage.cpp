@@ -5,7 +5,6 @@
 
 #include "browser/page.h"
 #include "corpus/ecosystem.h"
-#include "net/psl.h"
 #include "script/interpreter.h"
 #include "script/rng.h"
 
@@ -22,8 +21,7 @@ ExecContext context_for(const corpus::Corpus& corpus, const std::string& id,
   ctx.script_id = id;
   ctx.script_url = corpus::resolve_script_url(corpus.catalog(), id, site_host);
   if (!ctx.script_url.empty()) {
-    ctx.script_domain = net::etld_plus_one(
-        net::Url::must_parse(ctx.script_url).host());
+    ctx.script_domain = net::Url::must_parse(ctx.script_url).site();
   }
   ctx.category = script::Category::kSso;
   return ctx;

@@ -18,7 +18,7 @@ class ScriptCatalog {
   }
 
   const script::ScriptSpec* find(std::string_view id) const {
-    const auto it = specs_.find(std::string(id));
+    const auto it = specs_.find(id);
     if (it != specs_.end()) return &it->second;
     return parent_ == nullptr ? nullptr : parent_->find(id);
   }
@@ -32,7 +32,7 @@ class ScriptCatalog {
   const ScriptCatalog* parent() const { return parent_; }
 
   std::size_t size() const { return specs_.size(); }
-  const std::map<std::string, script::ScriptSpec>& all() const {
+  const std::map<std::string, script::ScriptSpec, std::less<>>& all() const {
     return specs_;
   }
 
@@ -42,7 +42,8 @@ class ScriptCatalog {
   }
 
  private:
-  std::map<std::string, script::ScriptSpec> specs_;
+  /// Transparent comparator: find(string_view) builds no temporary key.
+  std::map<std::string, script::ScriptSpec, std::less<>> specs_;
   const ScriptCatalog* parent_ = nullptr;
 };
 

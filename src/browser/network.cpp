@@ -1,7 +1,5 @@
 #include "browser/network.h"
 
-#include "net/psl.h"
-
 namespace cg::browser {
 
 void NetworkLayer::register_host(std::string_view host,
@@ -33,8 +31,8 @@ net::HttpResponse NetworkLayer::dispatch(
   if (const auto it = hosts_.find(request.url.host()); it != hosts_.end()) {
     response = it->second(request);
   } else {
-    const std::string site = net::etld_plus_one(request.url.host());
-    if (const auto site_it = sites_.find(site); site_it != sites_.end()) {
+    if (const auto site_it = sites_.find(request.url.site());
+        site_it != sites_.end()) {
       response = site_it->second(request);
     } else {
       response.status = 200;

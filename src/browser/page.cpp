@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "net/psl.h"
 #include "obs/trace.h"
 #include "script/interpreter.h"
 
@@ -29,12 +28,20 @@ TimeMillis skewed_latency(TimeMillis base, TimeMillis jitter,
 
 }  // namespace
 
+/// Pushes the frame of `ctx`'s script, carrying its URL and the site
+/// ExecContext::script_domain already holds; inline scripts push a
+/// URL-less frame.
 class Page::FrameGuard {
  public:
-  FrameGuard(webplat::StackTrace& stack, std::string script_url,
+  FrameGuard(webplat::StackTrace& stack, const script::ExecContext& ctx,
              std::string function_name)
       : stack_(stack) {
-    stack_.push({std::move(script_url), std::move(function_name), false});
+    if (ctx.inline_script) {
+      stack_.push({"", "", std::move(function_name), false});
+    } else {
+      stack_.push(
+          {ctx.script_url, ctx.script_domain, std::move(function_name), false});
+    }
   }
   ~FrameGuard() { stack_.pop(); }
   FrameGuard(const FrameGuard&) = delete;
@@ -47,7 +54,7 @@ class Page::FrameGuard {
 Page::Page(Browser& browser, net::Url url)
     : browser_(browser),
       url_(url),
-      top_level_site_(net::etld_plus_one(url_.host())),
+      top_level_site_(url_.site()),
       main_frame_(std::move(url), nullptr),
       loop_(&browser.clock()) {}
 
@@ -123,7 +130,8 @@ void Page::simulate_scroll() {
 
 script::ExecContext Page::make_context(
     const script::ScriptSpec& spec, script::Inclusion inclusion,
-    const script::ExecContext* includer) const {
+    const script::ExecContext* includer,
+    std::optional<net::Url>& script_url) const {
   script::ExecContext ctx;
   ctx.script_id = spec.id;
   ctx.category = spec.category;
@@ -134,8 +142,8 @@ script::ExecContext Page::make_context(
   }
   if (!spec.is_inline) {
     ctx.script_url = expand_site(spec.url_template, url_.host());
-    ctx.script_domain = net::etld_plus_one(
-        net::Url::must_parse(ctx.script_url).host());
+    script_url = net::Url::must_parse(ctx.script_url);
+    ctx.script_domain = script_url->site();
   } else {
     ctx.inline_script = true;
   }
@@ -151,7 +159,9 @@ void Page::include_script(std::string_view script_id,
                          : nullptr;
   if (spec == nullptr) return;
 
-  const script::ExecContext ctx = make_context(*spec, inclusion, includer);
+  std::optional<net::Url> script_url;
+  const script::ExecContext ctx =
+      make_context(*spec, inclusion, includer, script_url);
 
   for (auto* extension : browser_.extensions()) {
     if (!extension->allow_script_include(*this, ctx)) return;
@@ -170,7 +180,7 @@ void Page::include_script(std::string_view script_id,
             static_cast<std::uint64_t>(config.script_fetch_jitter_ms) + 1)));
     net::HttpRequest request;
     request.method = net::HttpMethod::kGet;
-    request.url = net::Url::must_parse(ctx.script_url);
+    request.url = std::move(*script_url);
     request.destination = net::RequestDestination::kScript;
     request.initiator =
         includer != nullptr ? includer->script_url : url_.spec();
@@ -196,7 +206,7 @@ void Page::include_script(std::string_view script_id,
   // Inline scripts get no URL on the stack, but are distinguishable as DOM
   // elements — real extensions can hash their source text. The frame's
   // function name carries that content identity for signature matching.
-  FrameGuard guard(stack_, ctx.inline_script ? "" : ctx.script_url,
+  FrameGuard guard(stack_, ctx,
                    ctx.inline_script ? "inline:" + ctx.script_id : "<top>");
   ++inclusion_depth_;
   script::run_program(spec->ops, ctx, *this);
@@ -209,8 +219,31 @@ void Page::run_catalog_script(std::string_view script_id) {
 
 void Page::run_as(const script::ExecContext& ctx,
                   const std::function<void(script::PageServices&)>& body) {
-  FrameGuard guard(stack_, ctx.inline_script ? "" : ctx.script_url, "<adhoc>");
+  FrameGuard guard(stack_, ctx, "<adhoc>");
   body(*this);
+}
+
+template <typename Visitor>
+void Page::policy_read(const policy::CookieAccessContext& ctx, TimeMillis now,
+                       Visitor&& visit) {
+  const auto& engine = browser_.policy();
+  const auto decision = engine.key_for_read(ctx);
+  if (!decision.allowed) {
+    if (decision.defense_block) {
+      ++browser_.policy_stats().reads_blocked;
+      obs::metric_add("policy.reads_blocked");
+    }
+    return;
+  }
+  for (const auto& key : decision.keys) {
+    // find(), not jar(): reads must not materialise empty partitions.
+    auto* jar = browser_.jar_store().find(key);
+    if (jar == nullptr) continue;
+    jar->retrieve({ctx.subject_url, now, ctx.api},
+                  [&](const cookies::Cookie& cookie) {
+                    if (engine.visible(cookie, ctx)) visit(cookie);
+                  });
+  }
 }
 
 // ---- subframes (SOP boundary) -------------------------------------------
@@ -228,10 +261,9 @@ class Page::FrameServices final : public script::PageServices {
   std::string document_cookie_read(const script::ExecContext&) override {
     page_.charge_api_call();
     std::string out;
-    for (const auto& c : read_cookies()) {
-      if (!out.empty()) out += "; ";
-      out += c.pair();
-    }
+    read_cookies([&out](const cookies::Cookie& c) {
+      cookies::append_cookie_pair(out, c);
+    });
     return out;
   }
   void document_cookie_write(const script::ExecContext&,
@@ -246,9 +278,9 @@ class Page::FrameServices final : public script::PageServices {
       std::function<void(std::vector<script::StoreCookie>)> callback)
       override {
     std::vector<script::StoreCookie> cookies;
-    for (const auto& c : read_cookies()) {
+    read_cookies([&cookies](const cookies::Cookie& c) {
       cookies.push_back({c.name, c.value});
-    }
+    });
     (void)ctx;
     callback(std::move(cookies));
   }
@@ -256,13 +288,13 @@ class Page::FrameServices final : public script::PageServices {
       const script::ExecContext&, std::string_view name,
       std::function<void(std::optional<script::StoreCookie>)> callback)
       override {
-    for (const auto& c : read_cookies()) {
-      if (c.name == name) {
-        callback(script::StoreCookie{c.name, c.value});
-        return;
+    std::optional<script::StoreCookie> found;
+    read_cookies([&](const cookies::Cookie& c) {
+      if (!found && c.name == name) {
+        found = script::StoreCookie{c.name, c.value};
       }
-    }
-    callback(std::nullopt);
+    });
+    callback(std::move(found));
   }
   void cookie_store_set(const script::ExecContext&, std::string_view name,
                         std::string_view value) override {
@@ -306,8 +338,9 @@ class Page::FrameServices final : public script::PageServices {
     ctx.frame_origin = frame_.url().origin();
     return ctx;
   }
-  std::vector<cookies::Cookie> read_cookies() {
-    return page_.policy_read(frame_ctx(), page_.browser().clock().now());
+  template <typename Visitor>
+  void read_cookies(Visitor&& visit) {
+    page_.policy_read(frame_ctx(), page_.browser().clock().now(), visit);
   }
   void store(const net::ParsedSetCookie& parsed,
              std::optional<cookies::CookieSource> source) {
@@ -326,8 +359,7 @@ webplat::Frame& Page::create_subframe(const net::Url& url) {
 void Page::run_in_frame(
     webplat::Frame& frame, const script::ExecContext& ctx,
     const std::function<void(script::PageServices&)>& body) {
-  FrameGuard guard(stack_, ctx.inline_script ? "" : ctx.script_url,
-                   "<frame>");
+  FrameGuard guard(stack_, ctx, "<frame>");
   if (frame.same_origin(main_frame_)) {
     // Same-origin frames share the first-party jar and interception stack.
     body(*this);
@@ -349,30 +381,6 @@ policy::CookieAccessContext Page::cookie_ctx(const net::Url& subject,
   access.script_origin = policy::script_origin_from_stack(stack_);
   access.api = api;
   return access;
-}
-
-std::vector<cookies::Cookie> Page::policy_read(
-    const policy::CookieAccessContext& ctx, TimeMillis now) {
-  const auto& engine = browser_.policy();
-  const auto decision = engine.key_for_read(ctx);
-  std::vector<cookies::Cookie> out;
-  if (!decision.allowed) {
-    if (decision.defense_block) {
-      ++browser_.policy_stats().reads_blocked;
-      obs::metric_add("policy.reads_blocked");
-    }
-    return out;
-  }
-  for (const auto& key : decision.keys) {
-    // find(), not jar(): reads must not materialise empty partitions.
-    auto* jar = browser_.jar_store().find(key);
-    if (jar == nullptr) continue;
-    for (auto& cookie : jar->cookies_for_url(ctx.subject_url, now, ctx.api)) {
-      if (!engine.visible(cookie, ctx)) continue;
-      out.push_back(std::move(cookie));
-    }
-  }
-  return out;
 }
 
 std::optional<cookies::CookieChange> Page::policy_store(
@@ -399,11 +407,10 @@ std::optional<cookies::CookieChange> Page::policy_store(
 std::string Page::document_cookie_read(const script::ExecContext& ctx) {
   charge_api_call();
   std::string value;
-  for (const auto& c : policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                                   browser_.clock().now())) {
-    if (!value.empty()) value += "; ";
-    value += c.pair();
-  }
+  policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
+              browser_.clock().now(), [&value](const cookies::Cookie& c) {
+                cookies::append_cookie_pair(value, c);
+              });
   for (auto* extension : browser_.extensions()) {
     value = extension->filter_document_cookie_read(*this, ctx, stack_,
                                                    std::move(value));
@@ -463,11 +470,11 @@ void Page::cookie_store_get_all(
       [this, ctx, callback = std::move(callback), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
         std::vector<script::StoreCookie> cookies;
-        for (const auto& c :
-             policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                         browser_.clock().now())) {
-          cookies.push_back({c.name, c.value});
-        }
+        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
+                    browser_.clock().now(),
+                    [&cookies](const cookies::Cookie& c) {
+                      cookies.push_back({c.name, c.value});
+                    });
         for (auto* extension : browser_.extensions()) {
           extension->filter_store_read(*this, ctx, stack_, cookies);
         }
@@ -490,11 +497,13 @@ void Page::cookie_store_get(
       [this, ctx, wanted, callback = std::move(callback), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
         std::vector<script::StoreCookie> cookies;
-        for (const auto& c :
-             policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                         browser_.clock().now())) {
-          if (c.name == wanted) cookies.push_back({c.name, c.value});
-        }
+        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
+                    browser_.clock().now(),
+                    [&](const cookies::Cookie& c) {
+                      if (c.name == wanted) {
+                        cookies.push_back({c.name, c.value});
+                      }
+                    });
         // The same per-origin filter applies to single-cookie lookups.
         for (auto* extension : browser_.extensions()) {
           extension->filter_store_read(*this, ctx, stack_, cookies);
@@ -627,8 +636,14 @@ void Page::set_timeout(const script::ExecContext& ctx, TimeMillis delay_ms,
                        std::string_view helper_script_url) {
   const webplat::StackTrace scheduling = stack_;
   std::string helper(helper_script_url);
+  std::string helper_site;
+  if (!helper.empty()) {
+    if (const auto helper_url = net::Url::parse(helper)) {
+      helper_site = helper_url->site();
+    }
+  }
   loop_.post_task(
-      [this, ctx, callback = std::move(callback), helper]() {
+      [this, ctx, callback = std::move(callback), helper, helper_site]() {
         // Fresh stack for the new task; async stack traces (when enabled)
         // recover the scheduling frames, marked async.
         webplat::StackTrace task_stack;
@@ -637,7 +652,7 @@ void Page::set_timeout(const script::ExecContext& ctx, TimeMillis delay_ms,
         }
         const webplat::StackTrace saved = std::exchange(stack_, task_stack);
         if (!helper.empty()) {
-          stack_.push({helper, "helperCallback", false});
+          stack_.push({helper, helper_site, "helperCallback", false});
         }
         callback();
         stack_ = saved;
@@ -665,10 +680,9 @@ net::HttpResponse Page::fetch(net::HttpRequest request,
   const auto http_ctx = cookie_ctx(request.url, cookies::JarApi::kHttp);
   {
     std::string cookie_header;
-    for (const auto& c : policy_read(http_ctx, now)) {
-      if (!cookie_header.empty()) cookie_header += "; ";
-      cookie_header += c.pair();
-    }
+    policy_read(http_ctx, now, [&cookie_header](const cookies::Cookie& c) {
+      cookies::append_cookie_pair(cookie_header, c);
+    });
     if (!cookie_header.empty()) request.headers.set("Cookie", cookie_header);
   }
 

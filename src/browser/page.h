@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -107,10 +108,13 @@ class Page final : public script::PageServices {
   /// RAII stack-frame push/pop for script execution.
   class FrameGuard;
 
-  /// Builds the ExecContext for a catalog script on this page.
+  /// Builds the ExecContext for a catalog script on this page; the parsed
+  /// script URL lands in `script_url` (nullopt for inline scripts) for the
+  /// script fetch to reuse.
   script::ExecContext make_context(const script::ScriptSpec& spec,
                                    script::Inclusion inclusion,
-                                   const script::ExecContext* includer) const;
+                                   const script::ExecContext* includer,
+                                   std::optional<net::Url>& script_url) const;
 
   void include_script(std::string_view script_id, script::Inclusion inclusion,
                       const script::ExecContext* includer);
@@ -129,11 +133,14 @@ class Page final : public script::PageServices {
                                          cookies::JarApi api) const;
 
   /// Retrieval through the active policy: consults every partition
-  /// key_for_read names, applies the per-cookie visibility filter, and
-  /// preserves the single-jar path byte-for-byte under NoDefense. `now` is
-  /// passed explicitly so fetch() can pin the request-entry timestamp.
-  std::vector<cookies::Cookie> policy_read(
-      const policy::CookieAccessContext& ctx, TimeMillis now);
+  /// key_for_read names and visits, in order, each retrieved cookie the
+  /// per-cookie visibility filter passes (CookieJar::retrieve's visitor
+  /// contract), preserving the single-jar path byte-for-byte under
+  /// NoDefense. `now` is passed explicitly so fetch() can pin the
+  /// request-entry timestamp. Defined in page.cpp, its only user.
+  template <typename Visitor>
+  void policy_read(const policy::CookieAccessContext& ctx, TimeMillis now,
+                   Visitor&& visit);
 
   /// Storage through the active policy; returns the jar's CookieChange, or
   /// nullopt when the policy refused the store (defense-caused refusals are

@@ -127,7 +127,7 @@ std::string CookieGuard::filter_document_cookie_read(
     note_decision(page, "cookieguard.inline_denied");
     return std::string{};
   }
-  const std::string site = page.url().site();
+  const std::string& site = page.url().site();
   if (config_.site_owner_full_access && actor == site) return value;
 
   const auto dataset = store_.snapshot();  // background round trip
@@ -160,7 +160,7 @@ void CookieGuard::filter_store_read(browser::Page& page,
                                     std::vector<script::StoreCookie>& cookies) {
   (void)ctx;
   const std::string actor = resolve_actor(stack, page);
-  const std::string site = page.url().site();
+  const std::string& site = page.url().site();
   if (actor.empty()) {
     if (!config_.deny_inline_scripts) return;
     ++stats_.inline_denied;
@@ -205,7 +205,7 @@ bool CookieGuard::allow_document_cookie_write(browser::Page& page,
   const std::string name = cookie_name_of(cookie_line);
   const std::string creator = bus_.request("lookup", name);
   if (creator.empty()) return true;  // new cookie: creation is always allowed
-  const std::string site = page.url().site();
+  const std::string& site = page.url().site();
   if (may_access(actor, creator, site)) return true;
   ++stats_.writes_blocked;
   note_decision(page, "cookieguard.writes_blocked");

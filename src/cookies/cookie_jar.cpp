@@ -181,11 +181,11 @@ CookieChange CookieJar::set_from_string(const net::Url& document_url,
 
 namespace {
 
-// RFC 6265 §5.4 steps 1-2: does `c` match a request to `url` over `api`?
-bool retrieval_match(const Cookie& c, const net::Url& url, TimeMillis now,
-                     JarApi api) {
-  if (c.expired(now)) return false;
-  if (c.http_only && api == JarApi::kScript) return false;
+// RFC 6265 §5.4 steps 1-2: does `c` match `request`?
+bool retrieval_match(const Cookie& c, const Retrieval& request) {
+  const net::Url& url = request.url;
+  if (c.expired(request.now)) return false;
+  if (c.http_only && request.api == JarApi::kScript) return false;
   if (c.secure && !url.is_secure()) return false;
   if (c.host_only) {
     if (url.host() != c.domain) return false;
@@ -195,48 +195,45 @@ bool retrieval_match(const Cookie& c, const net::Url& url, TimeMillis now,
   return path_matches(url.path(), c.path);
 }
 
-// §5.4 sort: longer paths first, then earlier creation.
-void sort_for_retrieval(std::vector<Cookie>& out) {
-  std::sort(out.begin(), out.end(), [](const Cookie& a, const Cookie& b) {
-    if (a.path.size() != b.path.size()) return a.path.size() > b.path.size();
-    if (a.creation_time != b.creation_time) {
-      return a.creation_time < b.creation_time;
-    }
-    return a.creation_index < b.creation_index;
-  });
-}
-
 }  // namespace
 
-std::vector<Cookie> CookieJar::cookies_for_url(const net::Url& url,
-                                               TimeMillis now, JarApi api) {
-  std::vector<Cookie> out;
-  for (auto& c : cookies_) {
-    if (!retrieval_match(c, url, now, api)) continue;
-    c.last_access = now;
-    out.push_back(c);
-  }
-  sort_for_retrieval(out);
-  return out;
+void append_cookie_pair(std::string& out, const Cookie& cookie) {
+  if (!out.empty()) out += "; ";
+  out += cookie.name;
+  out += '=';
+  out += cookie.value;
 }
 
-std::vector<Cookie> CookieJar::peek_for_url(const net::Url& url,
-                                            TimeMillis now, JarApi api) const {
-  std::vector<Cookie> out;
-  for (const auto& c : cookies_) {
-    if (retrieval_match(c, url, now, api)) out.push_back(c);
+std::size_t CookieJar::match(const Retrieval& request, MatchOrder& order) {
+  std::size_t matched = 0;
+  for (std::size_t i = 0; i < cookies_.size(); ++i) {
+    Cookie& c = cookies_[i];
+    if (!retrieval_match(c, request)) continue;
+    if (request.touch) c.last_access = request.now;
+    order[matched++] = static_cast<std::uint8_t>(i);
   }
-  sort_for_retrieval(out);
-  return out;
+  // §5.4 sort: longer paths first, then earlier creation. creation_index
+  // is unique per jar, so the order is total.
+  std::sort(order.begin(), order.begin() + matched,
+            [this](std::uint8_t ia, std::uint8_t ib) {
+              const Cookie& a = cookies_[ia];
+              const Cookie& b = cookies_[ib];
+              if (a.path.size() != b.path.size()) {
+                return a.path.size() > b.path.size();
+              }
+              if (a.creation_time != b.creation_time) {
+                return a.creation_time < b.creation_time;
+              }
+              return a.creation_index < b.creation_index;
+            });
+  return matched;
 }
 
 std::string CookieJar::document_cookie_string(const net::Url& url,
                                               TimeMillis now) {
   std::string out;
-  for (const auto& c : cookies_for_url(url, now, JarApi::kScript)) {
-    if (!out.empty()) out += "; ";
-    out += c.pair();
-  }
+  retrieve({url, now, JarApi::kScript},
+           [&out](const Cookie& c) { append_cookie_pair(out, c); });
   return out;
 }
 

@@ -6,6 +6,7 @@
 // origin may see (paper §6).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,6 +42,24 @@ struct CookieChange {
   std::string reject_reason;
 };
 
+/// The request context of one jar read (RFC 6265 §5.4). SameSite and
+/// top-level-navigation flags are not modelled: retrieval does not
+/// enforce SameSite.
+struct Retrieval {
+  const net::Url& url;
+  TimeMillis now = 0;
+  JarApi api = JarApi::kScript;
+  /// Refreshes last_access on the matched cookies, as a browser read does.
+  /// Observer reads (the measurement census) pass false: a read that
+  /// refreshed last_access would perturb the LRU eviction order it
+  /// observes.
+  bool touch = true;
+};
+
+/// Appends `cookie`'s "name=value" to a "; "-joined cookie string (the
+/// document.cookie and HTTP Cookie header serialisation).
+void append_cookie_pair(std::string& out, const Cookie& cookie);
+
 class CookieJar {
  public:
   /// RFC 6265 §6.1 minimum capabilities, enforced like Chromium: oversized
@@ -63,18 +82,21 @@ class CookieJar {
   CookieChange set_from_string(const net::Url& document_url,
                                std::string_view cookie_line, TimeMillis now);
 
-  /// Cookies matching `url` per RFC 6265 §5.4 (domain-match, path-match,
-  /// secure channel check), HttpOnly filtered out for JarApi::kScript.
-  /// Sorted: longer paths first, then earlier creation. Updates last_access.
-  std::vector<Cookie> cookies_for_url(const net::Url& url, TimeMillis now,
-                                      JarApi api);
-
-  /// Read-only variant of cookies_for_url: identical matching and sort
-  /// order, but does NOT update last_access. Measurement code must use this
-  /// — an observer read that refreshed last_access would perturb the
-  /// LRU eviction order it is trying to observe.
-  std::vector<Cookie> peek_for_url(const net::Url& url, TimeMillis now,
-                                   JarApi api) const;
+  /// The jar's one read: visits every cookie matching `request` per RFC 6265
+  /// §5.4 (domain-match, path-match, secure channel check; HttpOnly hidden
+  /// from JarApi::kScript) as `const Cookie&`, longer paths first, then
+  /// earlier creation. With `request.touch` the matched cookies'
+  /// last_access is set to `request.now` before the first visit. Sorts
+  /// match indices in a fixed-size buffer: no cookie is copied and nothing
+  /// is allocated. `visit` must not modify the jar.
+  template <typename Visitor>
+  void retrieve(const Retrieval& request, Visitor&& visit) {
+    MatchOrder order{};
+    const std::size_t matched = match(request, order);
+    for (std::size_t i = 0; i < matched; ++i) {
+      visit(static_cast<const Cookie&>(cookies_[order[i]]));
+    }
+  }
 
   /// The exact string document.cookie returns: "a=1; b=2".
   std::string document_cookie_string(const net::Url& url, TimeMillis now);
@@ -95,6 +117,15 @@ class CookieJar {
   void clear() { cookies_.clear(); }
 
  private:
+  // set() evicts down to kMaxCookies before it returns, so every match of
+  // a read fits in one MatchOrder.
+  static_assert(kMaxCookies <= 256, "match indices are one byte");
+  using MatchOrder = std::array<std::uint8_t, kMaxCookies>;
+
+  /// Fills `order` with the indices of the cookies matching `request`, in
+  /// §5.4 order, touching them when request.touch; returns their count.
+  std::size_t match(const Retrieval& request, MatchOrder& order);
+
   std::vector<Cookie> cookies_;
   std::uint64_t next_index_ = 0;
 };

@@ -1,4 +1,4 @@
-// CRC32C (Castagnoli, RFC 3720 §B.4), table-driven.
+// CRC32C (Castagnoli, RFC 3720 §B.4), table-driven (slice-by-8).
 //
 // Used by the CGAR archive store (src/store/) to checksum every block:
 // a bit flip anywhere in a payload must be caught before the record decoder

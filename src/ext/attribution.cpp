@@ -1,38 +1,32 @@
 #include "ext/attribution.h"
 
-#include "net/psl.h"
-#include "net/url.h"
-
 namespace cg::ext {
 
 Attribution attribute_stack(const webplat::StackTrace& stack,
                             AttributionMode mode) {
   Attribution out;
-  std::optional<std::string> url;
+  const webplat::StackFrame* frame = nullptr;
   switch (mode) {
     case AttributionMode::kLastExternal:
-      url = stack.last_external_script_url();
+      frame = stack.last_external_frame();
       break;
     case AttributionMode::kTopFrameOnly: {
       // Ignore async-recovered frames: only a genuine top frame counts.
       const auto& frames = stack.frames();
       if (!frames.empty() && !frames.back().async &&
           !frames.back().script_url.empty()) {
-        url = frames.back().script_url;
+        frame = &frames.back();
       }
       break;
     }
   }
-  if (!url) {
+  if (frame == nullptr) {
     out.unknown = true;
     return out;
   }
-  out.script_url = *url;
-  if (const auto parsed = net::Url::parse(*url)) {
-    out.domain = parsed->site();
-  } else {
-    out.unknown = true;
-  }
+  out.script_url = frame->script_url;
+  out.domain = frame->script_site;
+  out.unknown = out.domain.empty();
   return out;
 }
 

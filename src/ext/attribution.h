@@ -25,11 +25,13 @@ struct Attribution {
   std::string script_url;
   /// eTLD+1 of script_url; empty for inline/unknown.
   std::string domain;
-  /// True when attribution failed (inline script or lost async stack).
+  /// True when attribution failed: an inline script, a lost async stack, or
+  /// an external frame whose URL has no registrable domain.
   bool unknown = false;
 };
 
 /// Attributes an action to a script origin from its capture-time stack.
+/// Reads the site each frame carries; no stack URL is parsed here.
 Attribution attribute_stack(const webplat::StackTrace& stack,
                             AttributionMode mode = AttributionMode::kLastExternal);
 

@@ -42,17 +42,18 @@ void Recorder::on_page_finished(browser::Page& page) {
   if (log_->pages_visited == 1) {
     log_->landing_timings = page.timings();
   }
-  // Observer census of the first-party jar at page-finish. peek_for_url is
-  // mandatory here: cookies_for_url refreshes last_access, and a
-  // measurement read that perturbed the LRU eviction order it observes
-  // would break N-thread byte-identity of eviction-heavy sites.
-  obs::metric_add(
-      "instrument.jar_cookies_at_finish",
-      static_cast<std::int64_t>(
-          page.browser()
-              .jar()
-              .peek_for_url(page.url(), page.now(), cookies::JarApi::kScript)
-              .size()));
+  // Observer census of the first-party jar at page-finish. touch = false
+  // is mandatory here: a measurement read that refreshed last_access would
+  // perturb the LRU eviction order it observes and break N-thread
+  // byte-identity of eviction-heavy sites.
+  std::int64_t visible = 0;
+  page.browser().jar().retrieve(
+      {.url = page.url(),
+       .now = page.now(),
+       .api = cookies::JarApi::kScript,
+       .touch = false},
+      [&visible](const cookies::Cookie&) { ++visible; });
+  obs::metric_add("instrument.jar_cookies_at_finish", visible);
   // Both collection channels functioned for this visit. (Whether any events
   // were captured is a property of the site, not of the pipeline; the
   // paper's completeness filter models channel failures, which the crawler

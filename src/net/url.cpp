@@ -82,6 +82,7 @@ std::optional<Url> Url::parse(std::string_view input) {
 
   if (authority.empty()) return std::nullopt;
   url.host_ = ascii_lower(authority);
+  url.site_ = etld_plus_one(url.host_);
   return url;
 }
 
@@ -149,8 +150,6 @@ std::string Url::origin() const {
   return out;
 }
 
-std::string Url::site() const { return etld_plus_one(host_); }
-
 std::string Url::default_cookie_path() const {
   // RFC 6265 §5.1.4: up to but not including the right-most '/'; "/" if the
   // path is empty or has no further slash.
@@ -168,7 +167,7 @@ std::string Url::spec() const {
 }
 
 bool same_site(const Url& a, const Url& b) {
-  return cg::net::same_site(a.host(), b.host());
+  return !a.site().empty() && a.site() == b.site();
 }
 
 }  // namespace cg::net

@@ -43,7 +43,8 @@ class Url {
   std::string origin() const;
 
   /// Registrable domain (eTLD+1) of the host; empty for bare suffixes.
-  std::string site() const;
+  /// Computed once, at parse.
+  const std::string& site() const { return site_; }
 
   /// Default path for a cookie set on this URL (RFC 6265 §5.1.4).
   std::string default_cookie_path() const;
@@ -60,10 +61,12 @@ class Url {
   std::string path_ = "/";
   std::string query_;
   std::string fragment_;
+  std::string site_;
 };
 
 /// True when the two URLs' hosts share a registrable domain. This is the
-/// paper's notion of "same domain" for scripts (§3 footnote 1).
+/// paper's notion of "same domain" for scripts (§3 footnote 1). Compares
+/// the sites stored at parse.
 bool same_site(const Url& a, const Url& b);
 
 std::uint16_t default_port_for_scheme(std::string_view scheme);

@@ -1,7 +1,5 @@
 #include "policy/partition_policy.h"
 
-#include "net/psl.h"
-
 namespace cg::policy {
 namespace {
 
@@ -166,11 +164,8 @@ cookies::PartitionKey frame_partition_key(std::string_view frame_origin) {
 }
 
 std::string script_origin_from_stack(const webplat::StackTrace& stack) {
-  const auto url = stack.last_external_script_url();
-  if (!url) return {};
-  const auto parsed = net::Url::parse(*url);
-  if (!parsed) return {};
-  return net::etld_plus_one(parsed->host());
+  const webplat::StackFrame* frame = stack.last_external_frame();
+  return frame == nullptr ? std::string() : frame->script_site;
 }
 
 const PartitionPolicy& engine_for(PolicyKind kind) {

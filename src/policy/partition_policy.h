@@ -84,7 +84,8 @@ struct CookieAccessContext {
 cookies::PartitionKey frame_partition_key(std::string_view frame_origin);
 
 /// Derives the acting script origin for a context from the capture-time
-/// stack, the same attribution the paper's extensions use (§6.2).
+/// stack, the same attribution the paper's extensions use (§6.2): the site
+/// carried by the last external frame.
 std::string script_origin_from_stack(const webplat::StackTrace& stack);
 
 /// Outcome of a store-key decision.

@@ -18,6 +18,10 @@ struct StackFrame {
   /// URL of the external script this frame executes in; empty for inline
   /// scripts and browser-internal frames.
   std::string script_url;
+  /// eTLD+1 of script_url, filled by whoever pushes the frame (it already
+  /// holds the parsed URL), so attribution never re-parses a stack URL.
+  /// Empty for inline frames and for URLs with no registrable domain.
+  std::string script_site;
   std::string function_name;
   /// True when this frame was recovered across an async boundary (only
   /// present when async stack traces are enabled).
@@ -41,13 +45,18 @@ class StackTrace {
 
   /// The most recently pushed frame with an external URL — the frame the
   /// paper's attribution uses ("analyzing the JavaScript stack trace to
-  /// locate the last external script URL", §6.2). nullopt when the stack is
-  /// empty or purely inline.
-  std::optional<std::string> last_external_script_url() const {
+  /// locate the last external script URL", §6.2). Null (nullopt for the
+  /// URL) when the stack is empty or purely inline.
+  const StackFrame* last_external_frame() const {
     for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-      if (!it->script_url.empty()) return it->script_url;
+      if (!it->script_url.empty()) return &*it;
     }
-    return std::nullopt;
+    return nullptr;
+  }
+  std::optional<std::string> last_external_script_url() const {
+    const StackFrame* frame = last_external_frame();
+    if (frame == nullptr) return std::nullopt;
+    return frame->script_url;
   }
 
   /// Naive attribution alternative: the topmost frame's URL regardless of

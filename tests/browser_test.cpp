@@ -254,6 +254,42 @@ TEST(PageTest, HelperCallbackMisattributesToHelper) {
   EXPECT_EQ(watch.attributed, "https://cdn.helper.com/jquery.js");
 }
 
+TEST(PageTest, PushedFramesCarryTheirScriptSite) {
+  // Script frames (pushed from the ExecContext) and the helperCallback
+  // frame (pushed from its parsed URL) carry their eTLD+1, so attribution
+  // never re-parses a stack URL.
+  TestSite site({"outer"});
+  site.catalog().add(spec_of("outer", "https://www.outer.co.uk/o.js",
+                             Category::kTagManager,
+                             {script::inject("lazy")}));
+  site.catalog().add(spec_of(
+      "lazy", "https://lazy.com/l.js", Category::kAdvertising,
+      {script::run_async(
+          100, {script::set_cookie("_l", "{hex:8}", "; Path=/", false)},
+          "https://cdn.Helper.com/jquery.js")}));
+
+  struct Watch : Extension {
+    std::string name() const override { return "watch"; }
+    void on_script_cookie_change(Page&, const script::ExecContext&,
+                                 const webplat::StackTrace& stack,
+                                 const cookies::CookieChange&,
+                                 cookies::CookieSource) override {
+      for (const auto& frame : stack.frames()) {
+        frames.push_back(frame.script_url + " " + frame.script_site);
+      }
+    }
+    std::vector<std::string> frames;
+  } watch;
+  site.browser().add_extension(&watch);
+  site.open();
+  // Async-recovered scheduling frames first, then the helper frame.
+  EXPECT_EQ(watch.frames,
+            (std::vector<std::string>{
+                "https://www.outer.co.uk/o.js outer.co.uk",
+                "https://lazy.com/l.js lazy.com",
+                "https://cdn.Helper.com/jquery.js helper.com"}));
+}
+
 TEST(PageTest, SameSiteSetCookieHeadersEnterJar) {
   TestSite site;
   site.browser().network().register_host(

@@ -2,9 +2,16 @@
 // overwrite/delete semantics, document.cookie serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cookies/cookie_jar.h"
 #include "net/http_date.h"
+#include "net/psl.h"
 #include "net/url.h"
+#include "script/rng.h"
 
 namespace cg::cookies {
 namespace {
@@ -12,6 +19,15 @@ namespace {
 using cg::net::Url;
 
 constexpr TimeMillis kNow = 1746748800000;  // 2025-05-09
+
+// The "name=value" pairs `request` visits, in visit order.
+std::vector<std::string> retrieved(CookieJar& jar, const Retrieval& request) {
+  std::vector<std::string> out;
+  jar.retrieve(request, [&out](const Cookie& c) {
+    out.push_back(c.name + "=" + c.value);
+  });
+  return out;
+}
 
 class CookieJarTest : public ::testing::Test {
  protected:
@@ -90,7 +106,8 @@ TEST_F(CookieJarTest, HttpOnlyInvisibleToScriptsButStored) {
   ASSERT_TRUE(parsed.has_value());
   jar_.set(site_, *parsed, kNow, JarApi::kHttp);
   EXPECT_EQ(jar_.document_cookie_string(site_, kNow), "");
-  EXPECT_EQ(jar_.cookies_for_url(site_, kNow, JarApi::kHttp).size(), 1u);
+  EXPECT_EQ(retrieved(jar_, {site_, kNow, JarApi::kHttp}),
+            std::vector<std::string>{"sid=abc"});
 }
 
 TEST_F(CookieJarTest, ScriptCannotOverwriteHttpOnly) {
@@ -196,27 +213,27 @@ TEST_F(CookieJarTest, GhostWrittenCookieIndistinguishableDomain) {
 
 TEST_F(CookieJarTest, UpdatesLastAccessOnRead) {
   jar_.set_from_string(site_, "k=v; Path=/", kNow);
-  jar_.cookies_for_url(site_, kNow + 1000, JarApi::kScript);
+  retrieved(jar_, {site_, kNow + 1000, JarApi::kScript});
   EXPECT_EQ(jar_.all().at(0).last_access, kNow + 1000);
 }
 
 TEST_F(CookieJarTest, PeekDoesNotUpdateLastAccess) {
-  // Measurement code observes the jar through peek_for_url; a read that
+  // Measurement code observes the jar with touch = false; a read that
   // refreshed last_access would perturb the LRU eviction order it is
   // trying to observe.
   jar_.set_from_string(site_, "a=1; Path=/", kNow);
   jar_.set_from_string(site_, "b=2; Path=/shop", kNow + 1);
 
-  const auto peeked = jar_.peek_for_url(site_, kNow + 1000, JarApi::kScript);
+  const auto peeked = retrieved(
+      jar_, {.url = site_, .now = kNow + 1000, .api = JarApi::kScript,
+             .touch = false});
   for (const auto& c : jar_.all()) {
     EXPECT_LT(c.last_access, kNow + 1000);  // untouched
   }
-  // Same matching and §5.4 sort as the mutating read.
-  const auto read = jar_.cookies_for_url(site_, kNow + 1000, JarApi::kScript);
-  ASSERT_EQ(peeked.size(), read.size());
-  for (std::size_t i = 0; i < read.size(); ++i) {
-    EXPECT_EQ(peeked[i].pair(), read[i].pair());
-  }
+  // Same matching and §5.4 sort as the touching read.
+  const auto read = retrieved(jar_, {site_, kNow + 1000, JarApi::kScript});
+  EXPECT_EQ(peeked, read);
+  EXPECT_EQ(peeked, (std::vector<std::string>{"b=2", "a=1"}));
   EXPECT_EQ(jar_.all().at(0).last_access, kNow + 1000);  // read did touch
 }
 
@@ -227,8 +244,8 @@ TEST_F(CookieJarTest, PeekFiltersHttpOnlyForScripts) {
   parsed.path = "/";
   parsed.http_only = true;
   jar_.set(site_, parsed, kNow, JarApi::kHttp);
-  EXPECT_TRUE(jar_.peek_for_url(site_, kNow, JarApi::kScript).empty());
-  EXPECT_EQ(jar_.peek_for_url(site_, kNow, JarApi::kHttp).size(), 1u);
+  EXPECT_TRUE(retrieved(jar_, {site_, kNow, JarApi::kScript, false}).empty());
+  EXPECT_EQ(retrieved(jar_, {site_, kNow, JarApi::kHttp, false}).size(), 1u);
 }
 
 TEST_F(CookieJarTest, PartitionedRequiresSecure) {
@@ -339,7 +356,7 @@ TEST(CookieJarLimitsTest, RecentlyReadCookieSurvivesEviction) {
                         kNow + static_cast<TimeMillis>(i));
   }
   // Touch c0 (read refreshes last_access), then overflow the jar.
-  jar.cookies_for_url(url, kNow + 10'000, JarApi::kScript);
+  retrieved(jar, {url, kNow + 10'000, JarApi::kScript});
   // All were touched by the bulk read; age c1 by re-setting everything
   // except it... simpler: set one more cookie much later. The eviction
   // victim must NOT be the freshly read c0 cohort's newest member.
@@ -359,6 +376,233 @@ TEST(CookieJarLimitsTest, ExpiredEvictedBeforeLiveOnes) {
   EXPECT_EQ(jar.size(), CookieJar::kMaxCookies);
   EXPECT_FALSE(jar.find("dying", "www.example.com", "/").has_value());
   EXPECT_TRUE(jar.find("c1", "www.example.com", "/").has_value());
+}
+
+}  // namespace
+}  // namespace cg::cookies
+
+// Appended: differential test of CookieJar::retrieve against a flat
+// reference jar that reads as the jar once did — copy every match, touch
+// the originals, §5.4-sort the copies.
+namespace cg::cookies {
+namespace {
+
+class ReferenceJar {
+ public:
+  // RFC 6265 §5.3 storage, transcribed flat: no shared code with CookieJar.
+  void set(const Url& source, const net::ParsedSetCookie& p, TimeMillis now,
+           JarApi api) {
+    if (p.name.size() + p.value.size() > CookieJar::kMaxPairBytes) return;
+    if (api == JarApi::kScript && p.http_only) return;
+    if (p.secure && !source.is_secure()) return;
+    if (p.partitioned && !p.secure) return;
+    Cookie c;
+    c.name = p.name;
+    c.value = p.value;
+    c.secure = p.secure;
+    c.http_only = p.http_only;
+    c.creation_time = now;
+    c.last_access = now;
+    c.source = api == JarApi::kHttp ? CookieSource::kHttpHeader
+                                    : CookieSource::kDocumentCookie;
+    if (!p.domain.empty()) {
+      if (net::is_public_suffix(p.domain) && p.domain != source.host()) return;
+      if (!net::domain_matches(source.host(), p.domain)) return;
+      c.domain = p.domain;
+      c.host_only = false;
+    } else {
+      c.domain = source.host();
+    }
+    c.path = p.path.empty() ? source.default_cookie_path() : p.path;
+    if (p.max_age_ms) {
+      c.expires = now + *p.max_age_ms;
+    } else if (p.expires) {
+      c.expires = p.expires;
+    }
+    const bool expired = c.expires && *c.expires <= now;
+    for (auto it = cookies_.begin(); it != cookies_.end(); ++it) {
+      if (it->name != c.name || it->domain != c.domain || it->path != c.path) {
+        continue;
+      }
+      if (it->http_only && api == JarApi::kScript) return;
+      if (expired) {
+        cookies_.erase(it);
+        return;
+      }
+      c.creation_time = it->creation_time;
+      c.creation_index = it->creation_index;
+      *it = c;
+      return;
+    }
+    if (expired) return;
+    c.creation_index = next_index_++;
+    cookies_.push_back(c);
+    if (cookies_.size() <= CookieJar::kMaxCookies) return;
+    std::erase_if(cookies_, [&](const Cookie& k) {
+      return k.expires && *k.expires <= now;
+    });
+    while (cookies_.size() > CookieJar::kMaxCookies) {
+      auto victim = cookies_.begin();
+      for (auto it = cookies_.begin(); it != cookies_.end(); ++it) {
+        if (std::pair(it->last_access, it->creation_index) <
+            std::pair(victim->last_access, victim->creation_index)) {
+          victim = it;
+        }
+      }
+      cookies_.erase(victim);
+    }
+  }
+
+  // Copies every match into `out`, touching the originals, then sorts the
+  // copies in §5.4 order.
+  void read(const Url& url, TimeMillis now, JarApi api, bool touch,
+            std::vector<Cookie>& out) {
+    out.clear();
+    for (auto& c : cookies_) {
+      if (c.expires && *c.expires <= now) continue;
+      if (c.http_only && api == JarApi::kScript) continue;
+      if (c.secure && !url.is_secure()) continue;
+      const bool domain_ok = c.host_only
+                                 ? url.host() == c.domain
+                                 : net::domain_matches(url.host(), c.domain);
+      if (!domain_ok || !path_match(url.path(), c.path)) continue;
+      if (touch) c.last_access = now;
+      out.push_back(c);
+    }
+    std::sort(out.begin(), out.end(), [](const Cookie& a, const Cookie& b) {
+      if (a.path.size() != b.path.size()) return a.path.size() > b.path.size();
+      if (a.creation_time != b.creation_time) {
+        return a.creation_time < b.creation_time;
+      }
+      return a.creation_index < b.creation_index;
+    });
+  }
+
+  const std::vector<Cookie>& all() const { return cookies_; }
+
+ private:
+  static bool path_match(std::string_view request, std::string_view cookie) {
+    if (request == cookie) return true;
+    if (!request.starts_with(cookie)) return false;
+    return cookie.ends_with('/') || request[cookie.size()] == '/';
+  }
+
+  std::vector<Cookie> cookies_;
+  std::uint64_t next_index_ = 0;
+};
+
+// One line per cookie: identity, value, flags and both clocks.
+std::string describe(const Cookie& c) {
+  std::string out = c.name + "=" + c.value + " " + c.domain + c.path;
+  out += c.host_only ? " host" : " domain";
+  out += c.secure ? " secure" : "";
+  out += c.http_only ? " httponly" : "";
+  out += " exp=" + (c.expires ? std::to_string(*c.expires) : "session");
+  out += " created=" + std::to_string(c.creation_time) + "#" +
+         std::to_string(c.creation_index);
+  out += " access=" + std::to_string(c.last_access);
+  return out;
+}
+
+std::vector<std::string> describe_all(const std::vector<Cookie>& cookies) {
+  std::vector<std::string> out;
+  for (const auto& c : cookies) out.push_back(describe(c));
+  return out;
+}
+
+bool same_cookie(const Cookie& a, const Cookie& b) {
+  return a.name == b.name && a.value == b.value && a.domain == b.domain &&
+         a.path == b.path && a.host_only == b.host_only &&
+         a.secure == b.secure && a.http_only == b.http_only &&
+         a.expires == b.expires && a.creation_time == b.creation_time &&
+         a.creation_index == b.creation_index &&
+         a.last_access == b.last_access;
+}
+
+bool same_cookies(const std::vector<Cookie>& a, const std::vector<Cookie>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), same_cookie);
+}
+
+TEST(CookieJarDifferentialTest, RetrieveMatchesCopyAndSortReference) {
+  const std::vector<Url> urls = {
+      Url::must_parse("https://www.example.com/"),
+      Url::must_parse("https://www.example.com/a/b"),
+      Url::must_parse("http://www.example.com/a"),
+      Url::must_parse("https://example.com/a/"),
+      Url::must_parse("https://shop.example.com/b/c"),
+      Url::must_parse("http://sub.www.example.com/"),
+      Url::must_parse("https://tracker.net/a"),
+  };
+  const std::vector<std::string> domains = {
+      "", "", "", "example.com", "www.example.com", "tracker.net", "com"};
+  const std::vector<std::string> paths = {"", "/", "/a", "/a/b", "/b"};
+
+  std::size_t reads = 0;
+  std::size_t visits = 0;
+  std::size_t evictions = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    script::Rng rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.below(n));
+    };
+    CookieJar jar;
+    ReferenceJar reference;
+    TimeMillis now = kNow;
+    for (int step = 0; step < 1500; ++step) {
+      const auto& url = urls[pick(urls.size())];
+      const std::size_t op = pick(10);
+      if (op < 6) {
+        // Script or HTTP set: 250 names over several domains and paths
+        // overflow the 180-cookie cap, so eviction runs.
+        net::ParsedSetCookie p;
+        p.name = "c" + std::to_string(pick(250));
+        p.value = "v" + std::to_string(step);
+        p.domain = domains[pick(domains.size())];
+        p.path = paths[pick(paths.size())];
+        p.secure = pick(4) == 0;
+        p.http_only = pick(5) == 0;
+        const std::size_t expiry = pick(6);
+        if (expiry == 0) p.max_age_ms = -1000;  // delete
+        if (expiry == 1) p.max_age_ms = 2'000;  // expires soon
+        if (expiry == 2) p.expires = now + 60'000;
+        const JarApi api = pick(2) == 0 ? JarApi::kScript : JarApi::kHttp;
+        const std::size_t before = jar.size();
+        const auto change = jar.set(url, p, now, api);
+        reference.set(url, p, now, api);
+        if (change.type == CookieChange::Type::kCreated &&
+            jar.size() <= before) {
+          ++evictions;
+        }
+      } else if (op < 9) {
+        const JarApi api = pick(2) == 0 ? JarApi::kScript : JarApi::kHttp;
+        const bool touch = pick(3) != 0;
+        std::vector<Cookie> got;
+        jar.retrieve({url, now, api, touch},
+                     [&got](const Cookie& c) { got.push_back(c); });
+        std::vector<Cookie> want;
+        reference.read(url, now, api, touch, want);
+        if (!same_cookies(got, want)) {
+          ASSERT_EQ(describe_all(got), describe_all(want))
+              << "seed " << seed << " step " << step << " read "
+              << url.spec();
+        }
+        ++reads;
+        visits += got.size();
+      } else {
+        now += static_cast<TimeMillis>(pick(3'000));
+      }
+      // Same survivors (so the same eviction victims) and the same
+      // last_access on each, after every operation.
+      if (!same_cookies(jar.all(), reference.all())) {
+        ASSERT_EQ(describe_all(jar.all()), describe_all(reference.all()))
+            << "seed " << seed << " step " << step;
+      }
+    }
+  }
+  // The op mix reached every path it is meant to cover.
+  EXPECT_GT(reads, 1000u);
+  EXPECT_GT(visits, 10'000u);
+  EXPECT_GT(evictions, 0u);
 }
 
 }  // namespace

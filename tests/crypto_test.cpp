@@ -165,6 +165,51 @@ TEST(Crc32cTest, DetectsSingleBitFlips) {
   }
 }
 
+// Bitwise CRC32C, one bit at a time: the reference the slice-by-8 path
+// is checked against.
+std::uint32_t crc32c_bitwise(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : data) {
+    crc ^= static_cast<std::uint8_t>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string crc_pattern(std::size_t n) {
+  std::string out;
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::size_t i = 0; i < n; ++i) {
+    x = x * 1664525u + 1013904223u;
+    out.push_back(static_cast<char>(x >> 24));
+  }
+  return out;
+}
+
+TEST(Crc32cTest, SliceBy8MatchesBitwiseReference) {
+  const std::string data = crc_pattern(320);
+  // Every length 0-300, from an aligned start and from 1-7-byte
+  // misaligned starts.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string_view slice = std::string_view(data).substr(offset, len);
+      ASSERT_EQ(crc32c(slice), crc32c_bitwise(slice))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+  // Crc32c::update split at every offset of a 300-byte input.
+  const std::string_view whole = std::string_view(data).substr(0, 300);
+  const std::uint32_t want = crc32c_bitwise(whole);
+  for (std::size_t split = 0; split <= whole.size(); ++split) {
+    Crc32c crc;
+    crc.update(whole.substr(0, split));
+    crc.update(whole.substr(split));
+    ASSERT_EQ(crc.value(), want) << "split=" << split;
+  }
+}
+
 // Property: distinct inputs used by the exfiltration matcher produce
 // distinct encodings under every supported transform.
 TEST(EncodingProperty, TransformsAreDeterministicAndDistinct) {

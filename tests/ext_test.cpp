@@ -14,8 +14,9 @@ webplat::StackTrace stack_of(std::initializer_list<webplat::StackFrame> fs) {
 }
 
 TEST(AttributionTest, LastExternalFindsDeepestExternalFrame) {
-  const auto stack = stack_of({{"https://a.com/a.js", "f", false},
-                               {"https://b.example.co.uk/b.js", "g", false}});
+  const auto stack = stack_of(
+      {{"https://a.com/a.js", "a.com", "f", false},
+       {"https://b.example.co.uk/b.js", "example.co.uk", "g", false}});
   const auto who = attribute_stack(stack);
   EXPECT_FALSE(who.unknown);
   EXPECT_EQ(who.script_url, "https://b.example.co.uk/b.js");
@@ -24,7 +25,7 @@ TEST(AttributionTest, LastExternalFindsDeepestExternalFrame) {
 
 TEST(AttributionTest, SkipsInlineTopFrame) {
   const auto stack = stack_of(
-      {{"https://a.com/a.js", "f", false}, {"", "inline", false}});
+      {{"https://a.com/a.js", "a.com", "f", false}, {"", "", "inline", false}});
   const auto who = attribute_stack(stack);
   EXPECT_EQ(who.domain, "a.com");
 }
@@ -34,28 +35,41 @@ TEST(AttributionTest, EmptyStackIsUnknown) {
 }
 
 TEST(AttributionTest, PureInlineStackIsUnknown) {
-  const auto stack = stack_of({{"", "inline", false}});
+  const auto stack = stack_of({{"", "", "inline", false}});
   EXPECT_TRUE(attribute_stack(stack).unknown);
+}
+
+TEST(AttributionTest, DomainIsTheSiteTheFrameCarries) {
+  // Attribution reads the frame's site and never parses its URL: a frame
+  // with no site (its URL has no registrable domain) is unattributable.
+  const auto who = attribute_stack(
+      stack_of({{"https://cdn.Tracker.com/t.js", "tracker.com", "f", false}}));
+  EXPECT_EQ(who.domain, "tracker.com");
+  const auto bare = attribute_stack(stack_of({{"https://com/t.js", "", "f",
+                                               false}}));
+  EXPECT_TRUE(bare.unknown);
+  EXPECT_EQ(bare.script_url, "https://com/t.js");
 }
 
 TEST(AttributionTest, AsyncFramesCountForLastExternal) {
   // Recovered async frame below an inline callback frame.
   const auto stack = stack_of(
-      {{"https://tracker.com/t.js", "schedule", true}, {"", "cb", false}});
+      {{"https://tracker.com/t.js", "tracker.com", "schedule", true},
+       {"", "", "cb", false}});
   const auto who = attribute_stack(stack, AttributionMode::kLastExternal);
   EXPECT_EQ(who.domain, "tracker.com");
 }
 
 TEST(AttributionTest, TopFrameOnlyIgnoresAsyncFrames) {
   const auto stack = stack_of(
-      {{"https://tracker.com/t.js", "schedule", true}});
+      {{"https://tracker.com/t.js", "tracker.com", "schedule", true}});
   const auto who = attribute_stack(stack, AttributionMode::kTopFrameOnly);
   EXPECT_TRUE(who.unknown);
 }
 
 TEST(AttributionTest, TopFrameOnlyUsesTopWhenExternal) {
-  const auto stack = stack_of({{"https://a.com/a.js", "f", false},
-                               {"https://b.com/b.js", "g", false}});
+  const auto stack = stack_of({{"https://a.com/a.js", "a.com", "f", false},
+                               {"https://b.com/b.js", "b.com", "g", false}});
   const auto who = attribute_stack(stack, AttributionMode::kTopFrameOnly);
   EXPECT_EQ(who.domain, "b.com");
 }

@@ -2,6 +2,9 @@
 // query codecs, HTTP headers, cookie-date parsing, Set-Cookie parsing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/http.h"
 #include "net/http_date.h"
 #include "net/percent.h"
@@ -96,6 +99,33 @@ TEST(UrlTest, DefaultCookiePath) {
             "/dir");
 }
 
+TEST(UrlTest, SiteStoredAtParseEqualsEtldPlusOneOfHost) {
+  for (const char* input :
+       {"https://WWW.Example.CO.UK/x", "https://www.example.com./",
+        "http://127.0.0.1:8080/a", "https://com/", "https://co.uk/",
+        "https://user:pw@Shop.Example.com:8443/a?b=1#c",
+        "https://a.b.GitHub.io/", "https://localhost/",
+        "https://www.example.zz/"}) {
+    const auto url = Url::must_parse(input);
+    EXPECT_EQ(url.site(), etld_plus_one(url.host())) << input;
+    // Every relative form keeps the host, so the stored site carries
+    // over; an absolute one re-parses.
+    for (const char* relative : {"/p/q", "r", "?x=1", "#frag", "",
+                                 "https://Other.Example.ORG/y"}) {
+      const auto resolved = url.resolve(relative);
+      EXPECT_EQ(resolved.site(), etld_plus_one(resolved.host()))
+          << input << " + " << relative;
+    }
+  }
+  EXPECT_EQ(Url::must_parse("https://WWW.Example.CO.UK/").site(),
+            "example.co.uk");
+  EXPECT_EQ(Url::must_parse("http://127.0.0.1:8080/").site(), "127.0.0.1");
+  EXPECT_EQ(Url::must_parse("https://com/").site(), "");
+  EXPECT_EQ(Url::must_parse("https://u:p@Shop.Example.com:8443/").site(),
+            "example.com");
+  EXPECT_EQ(Url().site(), "");
+}
+
 TEST(UrlTest, StripsUserinfo) {
   EXPECT_EQ(Url::must_parse("https://user:pw@example.com/").host(),
             "example.com");
@@ -158,6 +188,52 @@ TEST(PslTest, DomainMatches) {
   EXPECT_TRUE(domain_matches("a.example.com", ".example.com"));
   EXPECT_FALSE(domain_matches("badexample.com", "example.com"));
   EXPECT_FALSE(domain_matches("example.com", "www.example.com"));
+}
+
+TEST(PslTest, MixedCaseAnswersEqualLowercaseAnswers) {
+  // The lookups skip the lower-casing copy for input that is already
+  // lowercase; upper-case input takes the copying branch and must agree.
+  const auto lower = [](std::string s) {
+    for (auto& c : s) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+    return s;
+  };
+  const std::vector<std::string> hosts = {
+      "WWW.Example.COM", "Example.CO.UK",    "CO.UK",
+      "Com",             "User.GitHub.IO",   "GITHUB.IO",
+      "10.0.0.1",        "WWW.Example.COM.", "a.B.c.Example.Org",
+      "Example.ZZ",      "",                 "Store.MyShopify.com"};
+  for (const auto& host : hosts) {
+    EXPECT_EQ(etld_plus_one(host), etld_plus_one(lower(host))) << host;
+    EXPECT_EQ(is_public_suffix(host), is_public_suffix(lower(host))) << host;
+    for (const auto& domain : hosts) {
+      EXPECT_EQ(domain_matches(host, domain),
+                domain_matches(lower(host), lower(domain)))
+          << host << " vs " << domain;
+      EXPECT_EQ(domain_matches(host, "." + domain),
+                domain_matches(lower(host), "." + lower(domain)))
+          << host << " vs ." << domain;
+    }
+  }
+  EXPECT_EQ(etld_plus_one("Example.CO.UK"), "example.co.uk");
+  EXPECT_TRUE(is_public_suffix("CO.UK"));
+  EXPECT_TRUE(domain_matches("WWW.Example.COM", ".EXAMPLE.com"));
+  EXPECT_FALSE(domain_matches("BadExample.com", "example.COM"));
+}
+
+TEST(PslTest, LongestListedSuffixWins) {
+  // "co.uk" and "uk", "blogspot.com" and "com" are both listed: the label
+  // walk must take the longer one.
+  EXPECT_EQ(etld_plus_one("a.b.example.co.uk"), "example.co.uk");
+  EXPECT_EQ(etld_plus_one("x.y.blogspot.com"), "y.blogspot.com");
+  EXPECT_EQ(etld_plus_one("blogspot.com"), "");
+  EXPECT_TRUE(is_public_suffix("blogspot.com"));
+  EXPECT_FALSE(is_public_suffix("a.blogspot.com"));
+  // Unlisted multi-label tails fall back to the last label.
+  EXPECT_EQ(etld_plus_one("a.b.example.zz.yy"), "zz.yy");
+  EXPECT_TRUE(is_public_suffix("yy"));
+  EXPECT_FALSE(is_public_suffix("zz.yy"));
 }
 
 TEST(PslTest, SameSiteHosts) {

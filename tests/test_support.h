@@ -7,7 +7,6 @@
 #include "browser/browser.h"
 #include "browser/catalog.h"
 #include "browser/page.h"
-#include "net/psl.h"
 #include "script/ops.h"
 #include "script/script_spec.h"
 
@@ -27,8 +26,7 @@ inline script::ScriptSpec spec_of(std::string id, std::string url,
 inline script::ExecContext context_for_url(std::string url) {
   script::ExecContext ctx;
   ctx.script_url = std::move(url);
-  ctx.script_domain =
-      net::etld_plus_one(net::Url::must_parse(ctx.script_url).host());
+  ctx.script_domain = net::Url::must_parse(ctx.script_url).site();
   return ctx;
 }
 

@@ -69,7 +69,7 @@ TEST_F(EventLoopTest, TasksCanScheduleMoreTasks) {
 
 TEST_F(EventLoopTest, SchedulingStackAvailableDuringTask) {
   StackTrace scheduling;
-  scheduling.push({"https://tracker.com/t.js", "fire", false});
+  scheduling.push({"https://tracker.com/t.js", "tracker.com", "fire", false});
   bool checked = false;
   loop_.post_task(
       [&] {
@@ -99,15 +99,15 @@ TEST_F(EventLoopTest, NegativeDelayTreatedAsImmediate) {
 
 TEST(StackTraceTest, LastExternalSkipsInlineFrames) {
   StackTrace stack;
-  stack.push({"https://a.com/a.js", "outer", false});
-  stack.push({"", "inlineHandler", false});
+  stack.push({"https://a.com/a.js", "a.com", "outer", false});
+  stack.push({"", "", "inlineHandler", false});
   EXPECT_EQ(stack.last_external_script_url(), "https://a.com/a.js");
 }
 
 TEST(StackTraceTest, LastExternalPrefersMostRecent) {
   StackTrace stack;
-  stack.push({"https://a.com/a.js", "outer", false});
-  stack.push({"https://b.com/b.js", "inner", false});
+  stack.push({"https://a.com/a.js", "a.com", "outer", false});
+  stack.push({"https://b.com/b.js", "b.com", "inner", false});
   EXPECT_EQ(stack.last_external_script_url(), "https://b.com/b.js");
 }
 
@@ -119,9 +119,9 @@ TEST(StackTraceTest, EmptyStackHasNoAttribution) {
 
 TEST(StackTraceTest, PrependAsyncMarksRecoveredFrames) {
   StackTrace scheduling;
-  scheduling.push({"https://a.com/a.js", "schedule", false});
+  scheduling.push({"https://a.com/a.js", "a.com", "schedule", false});
   StackTrace current;
-  current.push({"https://helper.com/h.js", "cb", false});
+  current.push({"https://helper.com/h.js", "helper.com", "cb", false});
   current.prepend_async(scheduling);
   ASSERT_EQ(current.depth(), 2u);
   EXPECT_TRUE(current.frames()[0].async);
@@ -132,7 +132,8 @@ TEST(StackTraceTest, PrependAsyncMarksRecoveredFrames) {
 
 TEST(StackTraceTest, AsyncRecoveryEnablesAttributionOfBareCallbacks) {
   StackTrace scheduling;
-  scheduling.push({"https://tracker.com/t.js", "schedule", false});
+  scheduling.push(
+      {"https://tracker.com/t.js", "tracker.com", "schedule", false});
   StackTrace callback_stack;  // bare closure: no frames of its own
   callback_stack.prepend_async(scheduling);
   EXPECT_EQ(callback_stack.last_external_script_url(),
@@ -141,8 +142,8 @@ TEST(StackTraceTest, AsyncRecoveryEnablesAttributionOfBareCallbacks) {
 
 TEST(StackTraceTest, PushPopSymmetry) {
   StackTrace stack;
-  stack.push({"https://a.com/a.js", "f", false});
-  stack.push({"https://b.com/b.js", "g", false});
+  stack.push({"https://a.com/a.js", "a.com", "f", false});
+  stack.push({"https://b.com/b.js", "b.com", "g", false});
   stack.pop();
   EXPECT_EQ(stack.last_external_script_url(), "https://a.com/a.js");
   stack.pop();

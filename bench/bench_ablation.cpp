@@ -55,8 +55,8 @@ CrawlStats run(const corpus::Corpus& corpus,
       t.attributed_sets > 0
           ? 100.0 * t.attribution_unknown / t.attributed_sets
           : 0;
-  out.exfil_pairs =
-      analyzer.exfiltrated_pair_count(cookies::CookieSource::kDocumentCookie);
+  out.exfil_pairs = analyzer.summary().exfiltrated_pair_count(
+      cookies::CookieSource::kDocumentCookie);
   return out;
 }
 
@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
       full.ingest(log);
       raw_only.ingest(log);
     });
-    const int full_pairs = full.exfiltrated_pair_count(
+    const int full_pairs = full.summary().exfiltrated_pair_count(
         cookies::CookieSource::kDocumentCookie);
-    const int raw_pairs = raw_only.exfiltrated_pair_count(
+    const int raw_pairs = raw_only.summary().exfiltrated_pair_count(
         cookies::CookieSource::kDocumentCookie);
     const auto& ft = full.totals();
     const auto& rt = raw_only.totals();

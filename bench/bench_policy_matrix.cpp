@@ -13,7 +13,7 @@
 //     cookies hidden from reads) and how much still reaches the jar,
 // and prints one matrix row per policy, plus a markdown copy of the table
 // for EXPERIMENTS.md. A last `filter-list` row puts the §2.1 EasyList-style
-// blocker (src/baselines/) on the manipulation axis only — it has no
+// blocker (cookieguard/filter_list.h) on the manipulation axis only — it has no
 // partitioning policy to pair breakage or overhead with, so those columns
 // read n/a — and the bench reports the scripts and requests it blocked.
 //
@@ -27,10 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baselines.h"
 #include "bench_util.h"
 #include "breakage/breakage.h"
 #include "cookieguard/deployment.h"
+#include "cookieguard/filter_list.h"
 #include "perf/perf.h"
 
 namespace {
@@ -58,7 +58,7 @@ struct MatrixRow {
 /// instance, so that crawl runs on one thread).
 void measure_manipulation(const corpus::Corpus& corpus,
                           policy::PolicyKind kind, int threads,
-                          baselines::FilterListBlocker* blocker,
+                          cookieguard::FilterListBlocker* blocker,
                           MatrixRow& row) {
   crawler::Crawler crawler(corpus);
   crawler::CrawlOptions options;
@@ -115,7 +115,7 @@ MatrixRow evaluate_policy(const corpus::Corpus& corpus,
 
   // ---- Table 4 axis: paired fault-free load-timing crawl. ---------------
   row.overhead_ms =
-      perf::compare_page_load_policy(corpus, corpus.size(), kind, threads)
+      perf::compare_page_load(corpus, corpus.size(), kind, {}, threads)
           .mean_overhead_ms;
 
   measure_manipulation(corpus, kind, threads, nullptr, row);
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   }
   // The §2.1 filter-list baseline, on the manipulation axis only.
   std::printf("evaluating filter-list...\n");
-  baselines::FilterListBlocker filter_list;
+  cookieguard::FilterListBlocker filter_list;
   MatrixRow filter_row;
   filter_row.label = "filter-list";
   measure_manipulation(corpus, policy::PolicyKind::kNone, threads,

@@ -1,15 +1,17 @@
 // Reproduces Table 4: page-load performance with and without CookieGuard.
 //
 // Two parts:
-//   1. google-benchmark microbenchmarks of the real interception primitives
-//     (stack attribution, metadata lookup, read filtering, message-bus round
-//     trip) — the physical cost CookieGuard adds per intercepted call;
+//   1. timed loops over the real interception primitives (stack
+//     attribution, metadata lookup, read filtering, message-bus round
+//     trip) — the physical cost CookieGuard adds per intercepted call,
+//     printed as wall-clock ns per operation on this host;
 //   2. the paired page-load simulation over the corpus, reporting the same
 //     mean/median rows as the paper:
 //        DOM Content Loaded  1659/946 ms  ->  1896/1020 ms
 //        DOM Interactive     1464/842 ms  ->  1702/911  ms
 //        Load Event          3197/2008 ms ->  3635/2136 ms   (~ +0.3 s mean)
-#include <benchmark/benchmark.h>
+#include <chrono>
+#include <cstddef>
 
 #include "browser/page.h"
 #include "cookieguard/cookieguard.h"
@@ -22,6 +24,28 @@ namespace {
 
 using namespace cg;
 
+/// Runs `op` in doubling batches until one batch takes at least 0.2 s and
+/// prints that batch's mean wall time per call. `op` returns a size derived
+/// from its result, summed into a volatile so the call is not optimized
+/// away.
+template <typename Op>
+void time_loop(const char* name, Op&& op) {
+  using Clock = std::chrono::steady_clock;
+  volatile std::size_t sink = 0;
+  for (long long iterations = 1;; iterations *= 2) {
+    const auto start = Clock::now();
+    for (long long i = 0; i < iterations; ++i) sink = sink + op();
+    const std::chrono::duration<double, std::nano> elapsed =
+        Clock::now() - start;
+    if (elapsed.count() >= 2e8 || iterations >= (1LL << 40)) {
+      std::printf("  %-28s %10.1f ns/op  (%lld iterations)\n", name,
+                  elapsed.count() / static_cast<double>(iterations),
+                  iterations);
+      return;
+    }
+  }
+}
+
 webplat::StackTrace deep_stack() {
   webplat::StackTrace stack;
   stack.push({"https://www.site1.com/assets/app.js", "site1.com", "boot",
@@ -33,50 +57,18 @@ webplat::StackTrace deep_stack() {
   return stack;
 }
 
-void BM_StackAttribution(benchmark::State& state) {
-  const auto stack = deep_stack();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ext::attribute_stack(stack));
-  }
-}
-BENCHMARK(BM_StackAttribution);
-
-void BM_MetadataLookup(benchmark::State& state) {
+cookieguard::MetadataStore forty_cookie_store() {
   cookieguard::MetadataStore store;
   for (int i = 0; i < 40; ++i) {
     store.record("cookie_" + std::to_string(i), "vendor.com");
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.creator("cookie_17"));
-  }
+  return store;
 }
-BENCHMARK(BM_MetadataLookup);
 
-void BM_MetadataSnapshot(benchmark::State& state) {
-  cookieguard::MetadataStore store;
-  for (int i = 0; i < 40; ++i) {
-    store.record("cookie_" + std::to_string(i), "vendor.com");
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.snapshot());
-  }
-}
-BENCHMARK(BM_MetadataSnapshot);
-
-void BM_MessageBusRoundTrip(benchmark::State& state) {
-  ext::MessageBus bus;
-  bus.register_handler("lookup",
-                       [](const std::string&) { return std::string("x"); });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bus.request("lookup", "_ga"));
-  }
-}
-BENCHMARK(BM_MessageBusRoundTrip);
-
-void BM_JarSerialization(benchmark::State& state) {
+void time_jar_serialization(int cookie_count) {
   cookies::CookieJar jar;
   const auto url = net::Url::must_parse("https://www.site1.com/");
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
+  for (int i = 0; i < cookie_count; ++i) {
     // Append, not chained operator+: GCC 12 -Wrestrict FP (PR 105329).
     std::string line = "c";
     line += std::to_string(i);
@@ -85,13 +77,14 @@ void BM_JarSerialization(benchmark::State& state) {
     line += "; Path=/";
     jar.set_from_string(url, line, 1746748800000);
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(jar.document_cookie_string(url, 1746748800000));
-  }
+  const std::string name =
+      "JarSerialization/" + std::to_string(cookie_count);
+  time_loop(name.c_str(), [&] {
+    return jar.document_cookie_string(url, 1746748800000).size();
+  });
 }
-BENCHMARK(BM_JarSerialization)->Arg(8)->Arg(32);
 
-void BM_GuardedReadFilter(benchmark::State& state) {
+void time_guarded_read_filter() {
   // End-to-end cost of one guarded document.cookie read on a realistic page.
   browser::Browser browser({}, 1);
   browser::ScriptCatalog catalog;
@@ -117,18 +110,40 @@ void BM_GuardedReadFilter(benchmark::State& state) {
   script::ExecContext reader;
   reader.script_url = "https://other.vendor.com/v.js";
   reader.script_domain = "vendor.com";
-  for (auto _ : state) {
+  time_loop("GuardedReadFilter", [&] {
+    std::size_t size = 0;
     page->run_as(reader, [&](script::PageServices& services) {
-      benchmark::DoNotOptimize(services.document_cookie_read(reader));
+      size = services.document_cookie_read(reader).size();
     });
-  }
+    return size;
+  });
 }
-BENCHMARK(BM_GuardedReadFilter);
+
+void time_primitives() {
+  const auto stack = deep_stack();
+  time_loop("StackAttribution", [&] {
+    return ext::attribute_stack(stack).script_url.size();
+  });
+  const cookieguard::MetadataStore store = forty_cookie_store();
+  time_loop("MetadataLookup", [&] {
+    return store.creator("cookie_17")->size();
+  });
+  time_loop("MetadataSnapshot", [&] { return store.snapshot().size(); });
+  ext::MessageBus bus;
+  bus.register_handler("lookup",
+                       [](const std::string&) { return std::string("x"); });
+  time_loop("MessageBusRoundTrip", [&] {
+    return bus.request("lookup", "_ga").size();
+  });
+  time_jar_serialization(8);
+  time_jar_serialization(32);
+  time_guarded_read_filter();
+}
 
 void print_metric(const char* name, double paper_mean_n, double paper_med_n,
                   double paper_mean_g, double paper_med_g,
-                  const perf::TimingSummary& normal,
-                  const perf::TimingSummary& guarded) {
+                  const analysis::TimingSummary& normal,
+                  const analysis::TimingSummary& guarded) {
   std::printf("  %-20s | %7.0f / %-7.0f (paper %4.0f/%-4.0f) | %7.0f / %-7.0f"
               " (paper %4.0f/%-4.0f)\n",
               name, normal.mean_ms, double(normal.median_ms), paper_mean_n,
@@ -138,18 +153,17 @@ void print_metric(const char* name, double paper_mean_n, double paper_med_n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
   std::printf("-- interception primitive microbenchmarks --\n");
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  time_primitives();
 
   corpus::Corpus corpus(bench::default_params());
   bench::print_header("Table 4 — page-load performance (mean / median ms)",
                       corpus);
 
   const auto comparison =
-      perf::compare_page_load(corpus, corpus.size(), {});
+      perf::compare_page_load(corpus, corpus.size(),
+                              policy::PolicyKind::kCookieGuard);
 
   std::printf("\n  %-20s | %-38s | %s\n", "metric", "Normal",
               "CookieGuard");

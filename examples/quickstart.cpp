@@ -78,18 +78,20 @@ int main() {
               100.0 * t.sites_using_document_cookie / n);
   std::printf("cookieStore sites ............ %.1f%%\n",
               100.0 * t.sites_using_cookie_store / n);
+  const analysis::SiteSummary& summary = baseline.summary();
+  constexpr auto kDoc = cookies::CookieSource::kDocumentCookie;
+  constexpr auto kStore = cookies::CookieSource::kCookieStore;
   std::printf("unique cookie pairs .......... %d (doc) %d (store)\n",
-              baseline.pair_count(cg::cookies::CookieSource::kDocumentCookie),
-              baseline.pair_count(cg::cookies::CookieSource::kCookieStore));
+              summary.pair_count(kDoc), summary.pair_count(kStore));
   std::printf("exfiltrated pairs ............ %d (doc) %d (store)\n",
-              baseline.exfiltrated_pair_count(cg::cookies::CookieSource::kDocumentCookie),
-              baseline.exfiltrated_pair_count(cg::cookies::CookieSource::kCookieStore));
+              summary.exfiltrated_pair_count(kDoc),
+              summary.exfiltrated_pair_count(kStore));
   std::printf("avg cookies/site ............. %.1f TP, %.1f FP\n",
               double(t.tp_cookies_set) / n, double(t.fp_cookies_set) / n);
   std::printf("DOM cross-mod sites .......... %.1f%%\n",
               100.0 * t.sites_with_cross_dom_modification / n);
 
-  const auto top = baseline.top_exfiltrator_domains(5);
+  const auto top = summary.top_exfiltrator_domains(5);
   std::printf("\nTop exfiltrator domains (plain browser):\n");
   for (const auto& [domain, count] : top) {
     std::printf("  %-28s %d unique cookies\n", domain.c_str(), count);

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nCross-domain cookie flows detected:\n");
   bool any = false;
-  for (const auto& [pair, stats] : analyzer.pairs()) {
+  for (const auto& [pair, stats] : analyzer.summary().pairs) {
     for (const auto& [entity, n] : stats.exfiltrator_entities) {
       std::printf("  EXFILTRATED  %-22s (owner %s) by %s -> {",
                   pair.name.c_str(), pair.owner_domain.c_str(),

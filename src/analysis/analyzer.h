@@ -36,57 +36,11 @@ class Analyzer {
   /// as merge().
   void apply(SiteSummary&& summary) { state_.merge(std::move(summary)); }
 
-  /// The complete aggregate state — everything below is a view into it.
+  /// The complete aggregate state. Every table and figure is a view of it
+  /// (src/report/).
   const SiteSummary& summary() const { return state_; }
 
   const Totals& totals() const { return state_.totals; }
-  const std::map<CookiePair, PairStats>& pairs() const {
-    return state_.pairs;
-  }
-  const std::map<std::string, DomainStats>& domains() const {
-    return state_.domains;
-  }
-
-  /// Unique pair counts by creating API.
-  int pair_count(cookies::CookieSource via) const {
-    return state_.pair_count(via);
-  }
-  int exfiltrated_pair_count(cookies::CookieSource via) const {
-    return state_.exfiltrated_pair_count(via);
-  }
-  int overwritten_pair_count(cookies::CookieSource via) const {
-    return state_.overwritten_pair_count(via);
-  }
-  int deleted_pair_count(cookies::CookieSource via) const {
-    return state_.deleted_pair_count(via);
-  }
-
-  /// Rows for Table 2 (top exfiltrated) / Table 5 (top manipulated),
-  /// sorted by destination-entity (resp. manipulator-entity) count.
-  using RankedPair = SiteSummary::RankedPair;
-  std::vector<RankedPair> top_exfiltrated(std::size_t n) const {
-    return state_.top_exfiltrated(n);
-  }
-  std::vector<RankedPair> top_overwritten(std::size_t n) const {
-    return state_.top_overwritten(n);
-  }
-  std::vector<RankedPair> top_deleted(std::size_t n) const {
-    return state_.top_deleted(n);
-  }
-
-  /// Rows for Figures 2 / 6: (domain, unique-cookie count).
-  std::vector<std::pair<std::string, int>> top_exfiltrator_domains(
-      std::size_t n) const {
-    return state_.top_exfiltrator_domains(n);
-  }
-  std::vector<std::pair<std::string, int>> top_overwriter_domains(
-      std::size_t n) const {
-    return state_.top_overwriter_domains(n);
-  }
-  std::vector<std::pair<std::string, int>> top_deleter_domains(
-      std::size_t n) const {
-    return state_.top_deleter_domains(n);
-  }
 
  private:
   const entities::EntityMap& entities_;

@@ -37,6 +37,18 @@ std::vector<std::pair<std::string, int>> top_counts(
   return out;
 }
 
+TimingSummary summarize(std::vector<TimeMillis> samples) {
+  TimingSummary out;
+  if (samples.empty()) return out;
+  double sum = 0;
+  for (const auto v : samples) sum += static_cast<double>(v);
+  out.mean_ms = sum / static_cast<double>(samples.size());
+  auto mid = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  out.median_ms = *mid;
+  return out;
+}
+
 void Totals::merge(Totals&& other) {
   sites_crawled += other.sites_crawled;
   sites_complete += other.sites_complete;
@@ -414,46 +426,39 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
   return out;
 }
 
-int SiteSummary::pair_count(CookieSource via) const {
+namespace {
+
+/// Unique pairs created through `via`; with `action`, only those with that
+/// cross-domain action.
+int count_pairs(const std::map<CookiePair, PairStats>& pairs,
+                CookieSource via, bool (PairStats::*action)() const) {
   int n = 0;
   for (const auto& [pair, stats] : pairs) {
     const bool is_store = stats.created_via == CookieSource::kCookieStore;
-    if ((via == CookieSource::kCookieStore) == is_store) ++n;
+    if ((via == CookieSource::kCookieStore) == is_store &&
+        (action == nullptr || (stats.*action)())) {
+      ++n;
+    }
   }
   return n;
+}
+
+}  // namespace
+
+int SiteSummary::pair_count(CookieSource via) const {
+  return count_pairs(pairs, via, nullptr);
 }
 
 int SiteSummary::exfiltrated_pair_count(CookieSource via) const {
-  int n = 0;
-  for (const auto& [pair, stats] : pairs) {
-    const bool is_store = stats.created_via == CookieSource::kCookieStore;
-    if ((via == CookieSource::kCookieStore) == is_store && stats.exfiltrated()) {
-      ++n;
-    }
-  }
-  return n;
+  return count_pairs(pairs, via, &PairStats::exfiltrated);
 }
 
 int SiteSummary::overwritten_pair_count(CookieSource via) const {
-  int n = 0;
-  for (const auto& [pair, stats] : pairs) {
-    const bool is_store = stats.created_via == CookieSource::kCookieStore;
-    if ((via == CookieSource::kCookieStore) == is_store && stats.overwritten()) {
-      ++n;
-    }
-  }
-  return n;
+  return count_pairs(pairs, via, &PairStats::overwritten);
 }
 
 int SiteSummary::deleted_pair_count(CookieSource via) const {
-  int n = 0;
-  for (const auto& [pair, stats] : pairs) {
-    const bool is_store = stats.created_via == CookieSource::kCookieStore;
-    if ((via == CookieSource::kCookieStore) == is_store && stats.deleted()) {
-      ++n;
-    }
-  }
-  return n;
+  return count_pairs(pairs, via, &PairStats::deleted);
 }
 
 namespace {

@@ -130,6 +130,14 @@ struct Totals {
   void merge(Totals&& other);
 };
 
+/// Mean and median of one lifecycle metric's per-site samples (Table 4).
+struct TimingSummary {
+  double mean_ms = 0;
+  TimeMillis median_ms = 0;
+};
+
+TimingSummary summarize(std::vector<TimeMillis> samples);
+
 struct AnalyzerOptions {
   /// Match Base64/MD5/SHA1-encoded identifier forms in addition to raw
   /// (paper §4.3). Disable for the D5 ablation: raw-only detection misses

@@ -1,6 +1,6 @@
-#include "baselines/baselines.h"
+#include "cookieguard/filter_list.h"
 
-namespace cg::baselines {
+namespace cg::cookieguard {
 
 std::vector<std::string> FilterListBlocker::default_blocklist() {
   return {
@@ -48,4 +48,4 @@ bool FilterListBlocker::allow_request(browser::Page& page,
   return true;
 }
 
-}  // namespace cg::baselines
+}  // namespace cg::cookieguard

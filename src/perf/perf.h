@@ -1,32 +1,23 @@
 // Page-load performance comparison (paper §7.3, Table 4).
 //
-// Crawls a slice of the corpus twice — plain browser vs CookieGuard
-// installed — and summarizes the three lifecycle metrics the paper reports
+// Crawls a slice of the corpus twice — plain browser vs a defense — and
+// summarizes the three lifecycle metrics the paper reports
 // (dom_content_loaded, dom_interactive, load_event) as mean and median.
 // The per-call interception cost fed into the simulation is itself measured
-// by the google-benchmark microbenchmarks in bench/bench_table4_perf.cpp.
+// by the timed loops in bench/bench_table4_perf.cpp.
 #pragma once
 
-#include <vector>
-
+#include "analysis/fold.h"
 #include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
-#include "net/clock.h"
 #include "policy/partition_policy.h"
 
 namespace cg::perf {
 
-struct TimingSummary {
-  double mean_ms = 0;
-  TimeMillis median_ms = 0;
-};
-
-TimingSummary summarize(std::vector<TimeMillis> samples);
-
 struct Metrics {
-  TimingSummary dom_content_loaded;
-  TimingSummary dom_interactive;
-  TimingSummary load_event;
+  analysis::TimingSummary dom_content_loaded;
+  analysis::TimingSummary dom_interactive;
+  analysis::TimingSummary load_event;
 };
 
 struct Comparison {
@@ -36,21 +27,18 @@ struct Comparison {
   double mean_overhead_ms = 0;
 };
 
-/// Runs the paired crawl over the first `site_count` corpus sites.
-/// `threads` follows CrawlOptions::threads (1 = sequential, 0 = all
-/// hardware threads); results are identical at any thread count.
-Comparison compare_page_load(const corpus::Corpus& corpus, int site_count,
-                             const cookieguard::CookieGuardConfig& config,
-                             int threads = 1);
-
-/// Table-4 pairing for one bake-off deployment: plain browser (single jar,
-/// no extension) vs the partitioning policy — which for kCookieGuard means
-/// the jar-identical engine plus the CookieGuard extension, and for
+/// Runs the paired fault-free crawl over the first `site_count` corpus
+/// sites: the plain browser (policy none, no extension) against `policy` —
+/// which for kCookieGuard means the jar-identical engine plus the
+/// CookieGuard extension configured by `config` (Table 4), and for
 /// FPI/CHIPS the partitioned jar alone. kNone compares the plain browser
 /// against itself (zero overhead by construction; a determinism probe).
-Comparison compare_page_load_policy(const corpus::Corpus& corpus,
-                                    int site_count,
-                                    policy::PolicyKind policy,
-                                    int threads = 1);
+/// `threads` follows CrawlOptions::threads (1 = sequential, 0 = all
+/// hardware threads); results are identical at any thread count.
+Comparison compare_page_load(
+    const corpus::Corpus& corpus, int site_count, policy::PolicyKind policy,
+    const cookieguard::CookieGuardConfig& config =
+        cookieguard::CookieGuardConfig(),
+    int threads = 1);
 
 }  // namespace cg::perf

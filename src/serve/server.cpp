@@ -1,17 +1,16 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
-#include "cookies/cookie.h"
 #include "entities/entity_map.h"
 #include "fault/fault.h"
+#include "report/report.h"
 #include "store/record_codec.h"
 
 namespace cg::serve {
 namespace {
-
-using cookies::CookieSource;
 
 report::Json error_json(const Query& query, const std::string& detail) {
   report::Json out = report::Json::object();
@@ -20,22 +19,53 @@ report::Json error_json(const Query& query, const std::string& detail) {
   return out;
 }
 
-report::Json api_breakdown(const analysis::SiteSummary& s, CookieSource via,
-                           int sites_exfil, int sites_over, int sites_del,
-                           int sites_complete) {
-  const double n = sites_complete > 0 ? sites_complete : 1;
-  report::Json out = report::Json::object();
-  out["pairs"] = s.pair_count(via);
-  out["exfiltrated_pairs"] = s.exfiltrated_pair_count(via);
-  out["overwritten_pairs"] = s.overwritten_pair_count(via);
-  out["deleted_pairs"] = s.deleted_pair_count(via);
-  out["sites_exfiltrating"] = sites_exfil;
-  out["sites_overwriting"] = sites_over;
-  out["sites_deleting"] = sites_del;
-  out["pct_sites_exfiltrating"] = 100.0 * sites_exfil / n;
-  out["pct_sites_overwriting"] = 100.0 * sites_over / n;
-  out["pct_sites_deleting"] = 100.0 * sites_del / n;
+/// A report/ section as a served answer: the section plus its "kind".
+std::string answer(const char* kind, report::Json section) {
+  section["kind"] = kind;
+  return section.dump();
+}
+
+/// The dumped rows of a report/ ranking section.
+std::vector<std::string> dumped_rows(const report::Json& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out.push_back(rows.at(i).dump());
+  }
   return out;
+}
+
+/// {"kind", "n", "rows"} over the first n of `rows`: the bytes
+/// report::Json::dump writes for that object (sorted keys, no spaces),
+/// joined from rows dumped at load instead of re-rendered per query.
+std::string top_answer(std::string_view kind, int n,
+                       const std::vector<std::string>& rows) {
+  const std::size_t take =
+      std::min(static_cast<std::size_t>(std::max(n, 0)), rows.size());
+  std::string out = "{\"kind\":\"";
+  out += kind;
+  out += "\",\"n\":";
+  out += std::to_string(n);
+  out += ",\"rows\":[";
+  for (std::size_t i = 0; i < take; ++i) {
+    if (i > 0) out += ',';
+    out += rows[i];
+  }
+  out += "]}";
+  return out;
+}
+
+/// Settles the memory a cache miss just freed. The miss path frees about a
+/// thousand small blocks (decoded log, fold, render tree); glibc's malloc
+/// parks them in per-thread fast bins and merges them at the thread's next
+/// request of 1 KiB or more. Left alone, that request is usually the copy
+/// of a totals or top-N answer, so a query that costs ~1 us carries the
+/// miss's cleanup (perfbench serve_zipf aggregate p99 ~35 us instead of
+/// ~10 us). One 4 KiB request here bills the merge to the miss, which costs
+/// ~0.5 ms anyway; under other allocators it is one malloc/free pair.
+void settle_freed_memory() {
+  void* volatile block = std::malloc(4096);
+  std::free(block);
 }
 
 }  // namespace
@@ -101,11 +131,9 @@ std::unique_ptr<Server> Server::from_readers(
     if (!ok) return nullptr;  // a corrupt or unresolvable chain must not serve
     server->waves_.push_back(std::move(info));
   }
-  server->waves_answer_ = server->build_waves().dump();
-  const analysis::SiteSummary& newest = server->aggregate();
 
   // Per-entity index over the newest wave's pair map.
-  for (const auto& [pair, stats] : newest.pairs) {
+  for (const auto& [pair, stats] : server->aggregate().pairs) {
     for (const auto& [entity, n] : stats.exfiltrator_entities) {
       auto& agg = server->entity_index_[entity];
       ++agg.exfiltrated_pairs;
@@ -125,16 +153,7 @@ std::unique_ptr<Server> Server::from_readers(
       agg.delete_site_events += n;
     }
   }
-
-  // Render the aggregate answers once. table1/totals scan the full pair map
-  // (four passes each); at 20k sites that is ~12 ms per query if done at
-  // query time. The rankers are full deterministic sorts, so top-N queries
-  // are prefix slices of the complete rankings precomputed here.
-  server->table1_answer_ = server->build_table1().dump();
-  server->totals_answer_ = server->build_totals().dump();
-  server->ranked_exfiltrated_ = newest.top_exfiltrated(newest.pairs.size());
-  server->ranked_domains_ =
-      newest.top_exfiltrator_domains(newest.domains.size());
+  server->render_aggregates();
   return server;
 }
 
@@ -155,6 +174,7 @@ std::string Server::handle_site(const Query& query) const {
   auto answer = render_site(query.rank, &error);
   if (!answer) return fail(error.to_string());  // errors are never cached
   cache_.put(query.rank, std::make_shared<const std::string>(*answer));
+  settle_freed_memory();
   return std::move(*answer);
 }
 
@@ -201,71 +221,29 @@ std::optional<std::string> Server::render_site(int rank,
   return out.dump();
 }
 
-report::Json Server::build_table1() const {
-  const analysis::SiteSummary& newest = aggregate();
-  const analysis::Totals& t = newest.totals;
-  report::Json out = report::Json::object();
-  out["kind"] = "table1";
-  out["sites_complete"] = t.sites_complete;
-  out["document_cookie"] =
-      api_breakdown(newest, CookieSource::kDocumentCookie,
-                    t.sites_doc_exfil, t.sites_doc_overwrite,
-                    t.sites_doc_delete, t.sites_complete);
-  out["cookie_store"] =
-      api_breakdown(newest, CookieSource::kCookieStore,
-                    t.sites_store_exfil, t.sites_store_overwrite,
-                    t.sites_store_delete, t.sites_complete);
-  return out;
-}
-
-report::Json Server::build_totals() const {
-  const analysis::Totals& t = aggregate().totals;
-  report::Json out = report::Json::object();
-  out["kind"] = "totals";
-  out["sites_crawled"] = t.sites_crawled;
-  out["sites_complete"] = t.sites_complete;
-  out["sites_with_third_party"] = t.sites_with_third_party;
-  out["third_party_scripts"] = t.third_party_script_count;
-  out["third_party_ad_tracking"] = t.third_party_ad_tracking_count;
-  out["tp_cookies_set"] = t.tp_cookies_set;
-  out["fp_cookies_set"] = t.fp_cookies_set;
-  out["direct_inclusions"] = t.direct_inclusions;
-  out["indirect_inclusions"] = t.indirect_inclusions;
-  out["sites_using_document_cookie"] = t.sites_using_document_cookie;
-  out["sites_using_cookie_store"] = t.sites_using_cookie_store;
-  out["unique_pairs"] = static_cast<std::int64_t>(aggregate().pairs.size());
-  out["unique_setter_scripts"] = t.unique_setter_scripts;
-  out["script_set_events"] = t.script_set_events;
-  out["cross_overwrites"] = t.cross_overwrites;
-  return out;
-}
-
-report::Json Server::build_waves() const {
+void Server::render_aggregates() {
+  // Render the aggregate answers once. table1/totals scan the full pair map
+  // several times; at 20k sites that is ~12 ms per query if done at query
+  // time. The rankings are full deterministic sorts, so a top-N
+  // answer is a prefix of the complete rankings rendered here.
   report::Json rows = report::Json::array();
   for (const WaveInfo& info : waves_) {
-    const analysis::Totals& t = info.summary.totals;
-    report::Json row = report::Json::object();
+    report::Json row = report::totals_to_json(info.summary);
     row["wave"] = static_cast<std::int64_t>(info.wave);
-    row["sites_crawled"] = t.sites_crawled;
-    row["sites_complete"] = t.sites_complete;
-    row["sites_with_third_party"] = t.sites_with_third_party;
-    row["third_party_scripts"] = t.third_party_script_count;
-    row["tp_cookies_set"] = t.tp_cookies_set;
-    row["fp_cookies_set"] = t.fp_cookies_set;
-    row["unique_pairs"] = static_cast<std::int64_t>(info.summary.pairs.size());
-    row["exfiltrated_pairs"] = static_cast<std::int64_t>(
-        info.summary.exfiltrated_pair_count(CookieSource::kDocumentCookie) +
-        info.summary.exfiltrated_pair_count(CookieSource::kCookieStore));
-    row["cross_overwrites"] = t.cross_overwrites;
-    row["sites_doc_exfil"] = t.sites_doc_exfil;
-    row["sites_store_exfil"] = t.sites_store_exfil;
     rows.push_back(std::move(row));
   }
-  report::Json out = report::Json::object();
-  out["kind"] = "waves";
-  out["waves"] = static_cast<std::int64_t>(waves_.size());
-  out["rows"] = std::move(rows);
-  return out;
+  report::Json waves = report::Json::object();
+  waves["waves"] = static_cast<std::int64_t>(waves_.size());
+  waves["rows"] = std::move(rows);
+  waves_answer_ = answer("waves", std::move(waves));
+
+  const analysis::SiteSummary& newest = aggregate();
+  table1_answer_ = answer("table1", report::table1_to_json(newest));
+  totals_answer_ = answer("totals", report::totals_to_json(newest));
+  exfiltrated_rows_ = dumped_rows(
+      report::top_exfiltrated_to_json(newest, newest.pairs.size()));
+  domain_rows_ = dumped_rows(
+      report::top_exfiltrator_domains_to_json(newest, newest.domains.size()));
 }
 
 report::Json Server::handle_domain_waves(const std::string& domain) const {
@@ -290,46 +268,6 @@ report::Json Server::handle_domain_waves(const std::string& domain) const {
   out["kind"] = "waves";
   out["domain"] = domain;
   out["waves"] = static_cast<std::int64_t>(waves_.size());
-  out["rows"] = std::move(rows);
-  return out;
-}
-
-report::Json Server::handle_top_exfiltrated(int n) const {
-  report::Json rows = report::Json::array();
-  const std::size_t take =
-      std::min(static_cast<std::size_t>(n > 0 ? n : 0),
-               ranked_exfiltrated_.size());
-  for (std::size_t i = 0; i < take; ++i) {
-    const auto& ranked = ranked_exfiltrated_[i];
-    report::Json row = report::Json::object();
-    row["name"] = ranked.pair.name;
-    row["owner"] = ranked.pair.owner_domain;
-    row["destination_entities"] =
-        static_cast<std::int64_t>(ranked.stats->destination_entities.size());
-    row["sites_set"] = ranked.stats->sites_set;
-    rows.push_back(std::move(row));
-  }
-  report::Json out = report::Json::object();
-  out["kind"] = "top-exfiltrated";
-  out["n"] = n;
-  out["rows"] = std::move(rows);
-  return out;
-}
-
-report::Json Server::handle_top_domains(int n) const {
-  report::Json rows = report::Json::array();
-  const std::size_t take = std::min(static_cast<std::size_t>(n > 0 ? n : 0),
-                                    ranked_domains_.size());
-  for (std::size_t i = 0; i < take; ++i) {
-    const auto& [domain, count] = ranked_domains_[i];
-    report::Json row = report::Json::object();
-    row["domain"] = domain;
-    row["exfiltrated_cookies"] = count;
-    rows.push_back(std::move(row));
-  }
-  report::Json out = report::Json::object();
-  out["kind"] = "top-domains";
-  out["n"] = n;
   out["rows"] = std::move(rows);
   return out;
 }
@@ -366,9 +304,9 @@ std::string Server::handle_text(const Query& query) const {
     case QueryKind::kTotals:
       return totals_answer_;
     case QueryKind::kTopExfiltrated:
-      return handle_top_exfiltrated(query.top_n).dump();
+      return top_answer("top-exfiltrated", query.top_n, exfiltrated_rows_);
     case QueryKind::kTopDomains:
-      return handle_top_domains(query.top_n).dump();
+      return top_answer("top-domains", query.top_n, domain_rows_);
     case QueryKind::kEntity:
       return handle_entity(query.entity).dump();
     case QueryKind::kStats:

@@ -11,9 +11,15 @@
 //                      access, one-block decode, single-visit fold, dump.
 //                      Never a scan.
 //   aggregates:        table1/totals/waves return the bytes rendered at
-//                      load; top-N queries slice full precomputed
-//                      rankings. Never a walk, never a re-fold, never a
-//                      pair-map scan.
+//                      load; top-N queries join a prefix of the full
+//                      rankings' rows, rendered at load. Never a walk,
+//                      never a re-fold, never a pair-map scan, never a
+//                      sort.
+//
+// The paper-table answers (table1, totals, top-exfiltrated, top-domains and
+// the bare waves trend) are report/'s sections of the same fold with a
+// "kind" member added, so each is byte for byte what `cgsim query --json`
+// writes for that section.
 //
 // handle_text() is const and thread-safe: archives, summaries, and the
 // entity index are immutable after open(); the answer cache locks per
@@ -121,15 +127,11 @@ class Server {
          const ServerConfig& config);
 
   std::string handle_site(const Query& query) const;
-  report::Json handle_top_exfiltrated(int n) const;
-  report::Json handle_top_domains(int n) const;
   report::Json handle_entity(const std::string& entity) const;
   report::Json handle_domain_waves(const std::string& domain) const;
 
-  // Load-time renderers for the precomputed answers below.
-  report::Json build_table1() const;
-  report::Json build_totals() const;
-  report::Json build_waves() const;
+  /// Renders the load-time answers below from the per-wave summaries.
+  void render_aggregates();
 
   /// Renders the newest wave's answer for `rank`: materialize the block
   /// through the chain, decode, fold, dump. Nullopt + error when the chain
@@ -148,14 +150,15 @@ class Server {
   std::vector<WaveInfo> waves_;
   std::map<std::string, EntityAggregate> entity_index_;
   // Aggregate answers rendered and dumped once at load: table1, totals and
-  // the bare waves trend are returned as stored bytes, top-N queries slice
-  // the full precomputed rankings. At 20k sites a per-query pair-map scan
-  // costs ~12 ms; returning stored bytes costs a string copy.
+  // the bare waves trend are returned as stored bytes, and top-N answers
+  // join the first n of the full rankings' dumped rows. At 20k sites a
+  // per-query pair-map scan costs ~12 ms; returning stored bytes costs a
+  // string copy.
   std::string waves_answer_;
   std::string table1_answer_;
   std::string totals_answer_;
-  std::vector<analysis::SiteSummary::RankedPair> ranked_exfiltrated_;
-  std::vector<std::pair<std::string, int>> ranked_domains_;
+  std::vector<std::string> exfiltrated_rows_;  // Table 2, every pair
+  std::vector<std::string> domain_rows_;       // Figure 2, every domain
   mutable BlockCache cache_;
   mutable std::array<std::atomic<std::int64_t>, kQueryKindCount>
       queries_by_kind_{};

@@ -70,7 +70,7 @@ TEST_F(AnalyzerTest, IncompleteVisitsExcludedFromActionAnalysis) {
   analyzer_.ingest(log);
   EXPECT_EQ(analyzer_.totals().sites_crawled, 1);
   EXPECT_EQ(analyzer_.totals().sites_complete, 0);
-  EXPECT_TRUE(analyzer_.pairs().empty());
+  EXPECT_TRUE(analyzer_.summary().pairs.empty());
 }
 
 TEST_F(AnalyzerTest, FirstSetterOwnsThePair) {
@@ -82,8 +82,8 @@ TEST_F(AnalyzerTest, FirstSetterOwnsThePair) {
                                        CookieChange::Type::kOverwritten));
   analyzer_.ingest(log);
   const CookiePair pair{"_ga", "googletagmanager.com"};
-  ASSERT_TRUE(analyzer_.pairs().count(pair));
-  const auto& stats = analyzer_.pairs().at(pair);
+  ASSERT_TRUE(analyzer_.summary().pairs.count(pair));
+  const auto& stats = analyzer_.summary().pairs.at(pair);
   // google-analytics.com ≠ googletagmanager.com: cross-domain overwrite,
   // even though both are Google (the paper compares domains, not entities).
   EXPECT_EQ(stats.overwriter_entities.count("Google"), 1u);
@@ -97,8 +97,9 @@ TEST_F(AnalyzerTest, SameDomainOverwriteIsAuthorized) {
                                        CookieChange::Type::kOverwritten));
   analyzer_.ingest(log);
   EXPECT_EQ(analyzer_.totals().sites_doc_overwrite, 0);
-  EXPECT_EQ(analyzer_.overwritten_pair_count(CookieSource::kDocumentCookie),
-            0);
+  EXPECT_EQ(
+      analyzer_.summary().overwritten_pair_count(CookieSource::kDocumentCookie),
+      0);
 }
 
 TEST_F(AnalyzerTest, CrossDomainDeletionTracked) {
@@ -109,7 +110,7 @@ TEST_F(AnalyzerTest, CrossDomainDeletionTracked) {
                                        CookieChange::Type::kDeleted));
   analyzer_.ingest(log);
   EXPECT_EQ(analyzer_.totals().sites_doc_delete, 1);
-  const auto top = analyzer_.top_deleted(5);
+  const auto top = analyzer_.summary().top_deleted(5);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].pair.name, "_fbp");
   EXPECT_EQ(top[0].stats->deleter_entities.count("CookieYes"), 1u);
@@ -122,8 +123,8 @@ TEST_F(AnalyzerTest, RecreationAfterDeletionStartsNewPair) {
       set_record("k", "", "b.com", 2, CookieChange::Type::kDeleted));
   log.script_sets.push_back(set_record("k", "bbbbbbbbbbbb", "b.com", 3));
   analyzer_.ingest(log);
-  EXPECT_TRUE(analyzer_.pairs().count({"k", "a.com"}));
-  EXPECT_TRUE(analyzer_.pairs().count({"k", "b.com"}));
+  EXPECT_TRUE(analyzer_.summary().pairs.count({"k", "a.com"}));
+  EXPECT_TRUE(analyzer_.summary().pairs.count({"k", "b.com"}));
 }
 
 TEST_F(AnalyzerTest, ExfiltrationDetectedRaw) {
@@ -136,7 +137,7 @@ TEST_F(AnalyzerTest, ExfiltrationDetectedRaw) {
   analyzer_.ingest(log);
   EXPECT_EQ(analyzer_.totals().sites_doc_exfil, 1);
   const auto& stats =
-      analyzer_.pairs().at({"_ga", "googletagmanager.com"});
+      analyzer_.summary().pairs.at({"_ga", "googletagmanager.com"});
   EXPECT_EQ(stats.exfiltrator_entities.count("Microsoft"), 1u);
   EXPECT_EQ(stats.destination_entities.count("Microsoft"), 1u);
 }
@@ -154,7 +155,7 @@ TEST_F(AnalyzerTest, ExfiltrationDetectedBase64Md5Sha1) {
         "https://sslwidget.criteo.com/event?fbp=" + encoded, "osano.com", 5));
     analyzer.ingest(log);
     EXPECT_EQ(analyzer.totals().sites_doc_exfil, 1) << encoded;
-    const auto& stats = analyzer.pairs().at({"_fbp", "facebook.net"});
+    const auto& stats = analyzer.summary().pairs.at({"_fbp", "facebook.net"});
     EXPECT_EQ(stats.exfiltrator_entities.count("Osano"), 1u);
     EXPECT_EQ(stats.destination_entities.count("Criteo"), 1u);
   }
@@ -218,10 +219,10 @@ TEST_F(AnalyzerTest, CandidateMatchingIsInsertionOrderInvariant) {
   EXPECT_EQ(first.totals().sites_doc_exfil, second.totals().sites_doc_exfil);
   EXPECT_EQ(first.totals().script_set_events,
             second.totals().script_set_events);
-  ASSERT_EQ(first.pairs().size(), second.pairs().size());
-  auto it1 = first.pairs().begin();
-  auto it2 = second.pairs().begin();
-  for (; it1 != first.pairs().end(); ++it1, ++it2) {
+  ASSERT_EQ(first.summary().pairs.size(), second.summary().pairs.size());
+  auto it1 = first.summary().pairs.begin();
+  auto it2 = second.summary().pairs.begin();
+  for (; it1 != first.summary().pairs.end(); ++it1, ++it2) {
     EXPECT_EQ(it1->first, it2->first);
     EXPECT_EQ(it1->second.sites_set, it2->second.sites_set);
     EXPECT_EQ(it1->second.exfiltrator_entities,
@@ -231,9 +232,10 @@ TEST_F(AnalyzerTest, CandidateMatchingIsInsertionOrderInvariant) {
   }
   // The distinct segment matched; the shared one was ambiguous in BOTH runs
   // (regardless of which cookie claimed it first).
-  EXPECT_TRUE(first.pairs().at({"a_id", "a-owner.com"}).exfiltrated());
-  EXPECT_FALSE(first.pairs().at({"b_id", "b-owner.com"}).exfiltrated());
-  EXPECT_FALSE(second.pairs().at({"b_id", "b-owner.com"}).exfiltrated());
+  EXPECT_TRUE(first.summary().pairs.at({"a_id", "a-owner.com"}).exfiltrated());
+  EXPECT_FALSE(first.summary().pairs.at({"b_id", "b-owner.com"}).exfiltrated());
+  EXPECT_FALSE(
+      second.summary().pairs.at({"b_id", "b-owner.com"}).exfiltrated());
 }
 
 TEST_F(AnalyzerTest, ShortSegmentsIgnored) {
@@ -255,8 +257,10 @@ TEST_F(AnalyzerTest, CookieStoreActionsTrackedSeparately) {
   analyzer_.ingest(log);
   EXPECT_EQ(analyzer_.totals().sites_store_exfil, 1);
   EXPECT_EQ(analyzer_.totals().sites_doc_exfil, 0);
-  EXPECT_EQ(analyzer_.pair_count(CookieSource::kCookieStore), 1);
-  EXPECT_EQ(analyzer_.exfiltrated_pair_count(CookieSource::kCookieStore), 1);
+  EXPECT_EQ(analyzer_.summary().pair_count(CookieSource::kCookieStore), 1);
+  EXPECT_EQ(
+      analyzer_.summary().exfiltrated_pair_count(CookieSource::kCookieStore),
+      1);
 }
 
 TEST_F(AnalyzerTest, HttpFirstPartySetEstablishesOwnership) {
@@ -273,7 +277,7 @@ TEST_F(AnalyzerTest, HttpFirstPartySetEstablishesOwnership) {
       "https://sync.ads.net/s?u=deadbeefcafe1234", "adsvendor.net", 5));
   analyzer_.ingest(log);
   EXPECT_EQ(analyzer_.totals().sites_doc_exfil, 1);
-  EXPECT_TRUE(analyzer_.pairs().count({"srv_uid", "example.com"}));
+  EXPECT_TRUE(analyzer_.summary().pairs.count({"srv_uid", "example.com"}));
 }
 
 TEST_F(AnalyzerTest, HttpOnlyHeaderCookiesOutOfScope) {
@@ -287,14 +291,14 @@ TEST_F(AnalyzerTest, HttpOnlyHeaderCookiesOutOfScope) {
   http.time = 1;
   log.http_sets.push_back(http);
   analyzer_.ingest(log);
-  EXPECT_TRUE(analyzer_.pairs().empty());
+  EXPECT_TRUE(analyzer_.summary().pairs.empty());
 }
 
 TEST_F(AnalyzerTest, InlineSetterFoldedIntoFirstParty) {
   auto log = base_log();
   log.script_sets.push_back(set_record("x", "0123456789abcdef", "", 1));
   analyzer_.ingest(log);
-  EXPECT_TRUE(analyzer_.pairs().count({"x", "example.com"}));
+  EXPECT_TRUE(analyzer_.summary().pairs.count({"x", "example.com"}));
   EXPECT_EQ(analyzer_.totals().attribution_unknown, 1);
 }
 
@@ -328,11 +332,11 @@ TEST_F(AnalyzerTest, RankingsSortByEntityCounts) {
   log.requests.push_back(request(
       "https://track.hubspot.com/p?m=id8765432187654321", "hubspot.com", 7));
   analyzer_.ingest(log);
-  const auto top = analyzer_.top_exfiltrated(10);
+  const auto top = analyzer_.summary().top_exfiltrated(10);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].pair.name, "_ga");
   EXPECT_EQ(top[0].stats->destination_entities.size(), 2u);
-  const auto domains = analyzer_.top_exfiltrator_domains(10);
+  const auto domains = analyzer_.summary().top_exfiltrator_domains(10);
   ASSERT_EQ(domains.size(), 3u);
   EXPECT_EQ(domains[0].second, 1);
 }
@@ -350,8 +354,8 @@ TEST_F(AnalyzerTest, PairUniquenessAcrossSites) {
   log.script_sets.push_back(
       set_record("_ga", "GA1.2.432143214321.1", "google-analytics.com", 1));
   analyzer_.ingest(log);
-  EXPECT_EQ(analyzer_.pair_count(CookieSource::kDocumentCookie), 2);
-  EXPECT_EQ(analyzer_.pairs()
+  EXPECT_EQ(analyzer_.summary().pair_count(CookieSource::kDocumentCookie), 2);
+  EXPECT_EQ(analyzer_.summary().pairs
                 .at({"_ga", "googletagmanager.com"})
                 .sites_set,
             2);
@@ -533,8 +537,9 @@ TEST(FoldTest, AnalyzerIngestEqualsFoldMerge) {
             applied.totals().sites_crawled);
   EXPECT_EQ(sequential.totals().script_set_events,
             applied.totals().script_set_events);
-  EXPECT_EQ(sequential.pairs().size(), applied.pairs().size());
-  EXPECT_EQ(sequential.domains().size(), applied.domains().size());
+  EXPECT_EQ(sequential.summary().pairs.size(), applied.summary().pairs.size());
+  EXPECT_EQ(sequential.summary().domains.size(),
+            applied.summary().domains.size());
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Tests for the baseline defenses (§2.1 comparison substrate).
 #include <gtest/gtest.h>
 
-#include "baselines/baselines.h"
 #include "browser/page.h"
+#include "cookieguard/filter_list.h"
 #include "script/interpreter.h"
 #include "test_support.h"
 
-namespace cg::baselines {
+namespace cg::cookieguard {
 namespace {
 
 using script::Category;
@@ -82,4 +82,4 @@ TEST(FilterListBlockerTest, NeverBlocksDocumentRequests) {
 }
 
 }  // namespace
-}  // namespace cg::baselines
+}  // namespace cg::cookieguard

@@ -127,7 +127,7 @@ TEST_F(IntegrationTest, AttributionMostlyCorrectWithAsyncStacks) {
 
 TEST_F(IntegrationTest, TopExfiltratedCookieIsGa) {
   const auto analyzer = run_crawl(nullptr);
-  const auto top = analyzer.top_exfiltrated(3);
+  const auto top = analyzer.summary().top_exfiltrated(3);
   ASSERT_FALSE(top.empty());
   // Table 2: _ga (owner googletagmanager.com) leads.
   EXPECT_EQ(top[0].pair.name, "_ga");
@@ -135,7 +135,7 @@ TEST_F(IntegrationTest, TopExfiltratedCookieIsGa) {
 
 TEST_F(IntegrationTest, GoogleAnalyticsIsTopExfiltratorDomain) {
   const auto analyzer = run_crawl(nullptr);
-  const auto domains = analyzer.top_exfiltrator_domains(3);
+  const auto domains = analyzer.summary().top_exfiltrator_domains(3);
   ASSERT_FALSE(domains.empty());
   EXPECT_EQ(domains[0].first, "google-analytics.com");  // Figure 2
 }

@@ -6,20 +6,22 @@
 namespace cg::perf {
 namespace {
 
+constexpr auto kGuard = policy::PolicyKind::kCookieGuard;
+
 TEST(SummarizeTest, MeanAndMedian) {
-  const auto s = summarize({100, 200, 300, 400, 1000});
+  const auto s = analysis::summarize({100, 200, 300, 400, 1000});
   EXPECT_DOUBLE_EQ(s.mean_ms, 400.0);
   EXPECT_EQ(s.median_ms, 300);
 }
 
 TEST(SummarizeTest, EmptyInput) {
-  const auto s = summarize({});
+  const auto s = analysis::summarize({});
   EXPECT_DOUBLE_EQ(s.mean_ms, 0.0);
   EXPECT_EQ(s.median_ms, 0);
 }
 
 TEST(SummarizeTest, SingleSample) {
-  const auto s = summarize({42});
+  const auto s = analysis::summarize({42});
   EXPECT_DOUBLE_EQ(s.mean_ms, 42.0);
   EXPECT_EQ(s.median_ms, 42);
 }
@@ -39,7 +41,7 @@ class PerfComparisonTest : public ::testing::Test {
 
 TEST_F(PerfComparisonTest, CookieGuardAddsOverhead) {
   cookieguard::CookieGuardConfig config;
-  const auto comparison = compare_page_load(corpus(), 120, config);
+  const auto comparison = compare_page_load(corpus(), 120, kGuard, config);
   EXPECT_GT(comparison.mean_overhead_ms, 0);
   EXPECT_GT(comparison.guarded.dom_content_loaded.mean_ms,
             comparison.normal.dom_content_loaded.mean_ms);
@@ -59,14 +61,14 @@ TEST_F(PerfComparisonTest, OverheadScalesWithPerCallCost) {
   cheap.api_overhead_ms = 1;
   cookieguard::CookieGuardConfig expensive;
   expensive.api_overhead_ms = 10;
-  const auto a = compare_page_load(corpus(), 60, cheap);
-  const auto b = compare_page_load(corpus(), 60, expensive);
+  const auto a = compare_page_load(corpus(), 60, kGuard, cheap);
+  const auto b = compare_page_load(corpus(), 60, kGuard, expensive);
   EXPECT_GT(b.mean_overhead_ms, a.mean_overhead_ms);
 }
 
 TEST_F(PerfComparisonTest, MedianReportedFromSameDistribution) {
   cookieguard::CookieGuardConfig config;
-  const auto comparison = compare_page_load(corpus(), 60, config);
+  const auto comparison = compare_page_load(corpus(), 60, kGuard, config);
   EXPECT_GT(comparison.normal.load_event.median_ms, 0);
   EXPECT_GE(comparison.normal.load_event.mean_ms,
             comparison.normal.dom_content_loaded.mean_ms);

@@ -116,7 +116,7 @@ TEST_P(EncodingDetectionTest, DetectedEndToEnd) {
   analyzer.ingest(log);
   EXPECT_EQ(analyzer.totals().sites_doc_exfil, 1)
       << "encoding " << script::to_string(encoding);
-  const auto top = analyzer.top_exfiltrated(1);
+  const auto top = analyzer.summary().top_exfiltrated(1);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].pair.name, "_fbp");
   EXPECT_EQ(top[0].stats->exfiltrator_entities.count("thief.io"), 1u);
@@ -251,15 +251,16 @@ TEST(AnalyzerProperty, CountersAreConsistentOnRealCrawl) {
   EXPECT_LE(t.overwrite_expires_changed, t.cross_overwrites);
   EXPECT_LE(t.overwrite_path_changed, t.cross_overwrites);
   // Every ranked pair is present in the pair map with non-empty stats.
-  for (const auto& row : analyzer.top_exfiltrated(50)) {
+  for (const auto& row : analyzer.summary().top_exfiltrated(50)) {
     EXPECT_TRUE(row.stats->exfiltrated());
     EXPECT_FALSE(row.pair.name.empty());
   }
   // Per-domain unique-cookie counts are bounded by the global pair count.
+  const analysis::SiteSummary& summary = analyzer.summary();
   const int total_pairs =
-      analyzer.pair_count(cookies::CookieSource::kDocumentCookie) +
-      analyzer.pair_count(cookies::CookieSource::kCookieStore);
-  for (const auto& [domain, count] : analyzer.top_exfiltrator_domains(50)) {
+      summary.pair_count(cookies::CookieSource::kDocumentCookie) +
+      summary.pair_count(cookies::CookieSource::kCookieStore);
+  for (const auto& [domain, count] : summary.top_exfiltrator_domains(50)) {
     EXPECT_LE(count, total_pairs);
   }
   // Attribution accuracy fractions are sane.

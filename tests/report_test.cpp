@@ -1,6 +1,7 @@
 // Tests for the report module: JSON writer, CSV escaping, summary exports.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -72,36 +73,51 @@ TEST(CsvTest, EscapeRules) {
   EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
 }
 
+/// One complete visit on which bing.com exfiltrates googletagmanager.com's
+/// _ga identifier.
+instrument::VisitLog exfiltration_visit() {
+  instrument::VisitLog log;
+  log.site_host = "www.example.com";
+  log.site = "example.com";
+  log.has_cookie_logs = true;
+  log.has_request_logs = true;
+  instrument::ScriptCookieSetRecord set;
+  set.cookie_name = "_ga";
+  set.value = "GA1.1.444332364.1746838827";
+  set.setter_domain = "googletagmanager.com";
+  set.setter_url = "https://www.googletagmanager.com/gtag/js";
+  set.true_domain = "googletagmanager.com";
+  set.time = 1;
+  log.script_sets.push_back(set);
+  instrument::RequestRecord req;
+  req.url = "https://bat.bing.com/a?g=444332364";
+  req.host = "bat.bing.com";
+  req.dest_domain = "bing.com";
+  req.initiator_domain = "bing.com";
+  req.time = 5;
+  log.requests.push_back(req);
+  return log;
+}
+
+/// Every section summary_to_json renders, and the rankings inside them.
+const char* const kSections[] = {"totals",          "prevalence",
+                                 "api_usage",       "table1",
+                                 "top_exfiltrated", "top_exfiltrator_domains",
+                                 "manipulation",    "dom_pilot"};
+const char* const kManipulationRankings[] = {
+    "top_overwritten", "top_deleted", "top_overwriter_domains",
+    "top_deleter_domains"};
+
 class ReportFixture : public ::testing::Test {
  protected:
   ReportFixture() : analyzer_(entities::EntityMap::builtin()) {
-    instrument::VisitLog log;
-    log.site_host = "www.example.com";
-    log.site = "example.com";
-    log.has_cookie_logs = true;
-    log.has_request_logs = true;
-    instrument::ScriptCookieSetRecord set;
-    set.cookie_name = "_ga";
-    set.value = "GA1.1.444332364.1746838827";
-    set.setter_domain = "googletagmanager.com";
-    set.setter_url = "https://www.googletagmanager.com/gtag/js";
-    set.true_domain = "googletagmanager.com";
-    set.time = 1;
-    log.script_sets.push_back(set);
-    instrument::RequestRecord req;
-    req.url = "https://bat.bing.com/a?g=444332364";
-    req.host = "bat.bing.com";
-    req.dest_domain = "bing.com";
-    req.initiator_domain = "bing.com";
-    req.time = 5;
-    log.requests.push_back(req);
-    analyzer_.ingest(log);
+    analyzer_.ingest(exfiltration_visit());
   }
   analysis::Analyzer analyzer_;
 };
 
 TEST_F(ReportFixture, TotalsJsonCarriesCounters) {
-  const auto json = totals_to_json(analyzer_.totals());
+  const auto json = totals_to_json(analyzer_.summary());
   const auto dumped = json.dump();
   EXPECT_NE(dumped.find("\"sites_doc_exfil\":1"), std::string::npos);
   EXPECT_NE(dumped.find("\"sites_complete\":1"), std::string::npos);
@@ -110,7 +126,7 @@ TEST_F(ReportFixture, TotalsJsonCarriesCounters) {
 
 TEST_F(ReportFixture, PairsCsvListsDetectedExfiltration) {
   std::ostringstream out;
-  write_pairs_csv(analyzer_, 10, out);
+  write_pairs_csv(analyzer_.summary(), 10, out);
   const auto csv = out.str();
   EXPECT_NE(csv.find("cookie_name,owner_domain,action"), std::string::npos);
   EXPECT_NE(csv.find("_ga,googletagmanager.com,exfiltrated,1,Microsoft"),
@@ -119,15 +135,50 @@ TEST_F(ReportFixture, PairsCsvListsDetectedExfiltration) {
 
 TEST_F(ReportFixture, DomainsCsvMergesActionCounts) {
   std::ostringstream out;
-  write_domains_csv(analyzer_, 10, out);
+  write_domains_csv(analyzer_.summary(), 10, out);
   EXPECT_NE(out.str().find("bing.com,1,0,0"), std::string::npos);
 }
 
 TEST_F(ReportFixture, SummaryJsonHasTopSections) {
-  const auto dumped = summary_to_json(analyzer_, 5).dump(2);
-  EXPECT_NE(dumped.find("\"top_exfiltrated\""), std::string::npos);
-  EXPECT_NE(dumped.find("\"top_exfiltrator_domains\""), std::string::npos);
-  EXPECT_NE(dumped.find("\"_ga\""), std::string::npos);
+  const Json summary = summary_to_json(analyzer_, 5);
+  EXPECT_EQ(summary.size(), std::size(kSections));
+  for (const char* section : kSections) {
+    EXPECT_NE(summary.find(section), nullptr) << section;
+  }
+  const Json& top = *summary.find("top_exfiltrated");
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top.at(0).find("name")->as_string(), "_ga");
+  EXPECT_EQ(top.at(0).find("top_destinations")->as_string(), "Microsoft");
+  EXPECT_EQ(summary.find("top_exfiltrator_domains")->size(), 1u);
+  const Json& table1 = *summary.find("table1");
+  EXPECT_EQ(table1.find("sites_complete")->as_int(), 1);
+  const Json& doc = *table1.find("document_cookie");
+  EXPECT_EQ(doc.find("pct_sites_exfiltrating")->as_double(), 100.0);
+}
+
+TEST(ReportTotalsOnlyTest, TotalsOnlySummaryRendersEverySectionEmptyRanked) {
+  // The 1M-site streaming configuration keeps only the counters: every
+  // section still renders, with empty rankings and zero pair shares.
+  analysis::Analyzer analyzer(entities::EntityMap::builtin(),
+                              {.totals_only = true});
+  analyzer.ingest(exfiltration_visit());
+  const Json summary = summary_to_json(analyzer, 5);
+  for (const char* section : kSections) {
+    EXPECT_NE(summary.find(section), nullptr) << section;
+  }
+  EXPECT_EQ(summary.find("top_exfiltrated")->size(), 0u);
+  EXPECT_EQ(summary.find("top_exfiltrator_domains")->size(), 0u);
+  for (const char* ranking : kManipulationRankings) {
+    EXPECT_EQ(summary.find("manipulation")->find(ranking)->size(), 0u)
+        << ranking;
+  }
+  const Json& totals = *summary.find("totals");
+  EXPECT_EQ(totals.find("sites_doc_exfil")->as_int(), 1);
+  EXPECT_EQ(totals.find("unique_pairs")->as_int(), 0);
+  const Json& doc = *summary.find("table1")->find("document_cookie");
+  EXPECT_EQ(doc.find("pairs")->as_int(), 0);
+  EXPECT_EQ(doc.find("pct_pairs_exfiltrated")->as_double(), 0.0);
+  EXPECT_EQ(doc.find("pct_sites_exfiltrating")->as_double(), 100.0);
 }
 
 }  // namespace

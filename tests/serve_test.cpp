@@ -287,6 +287,81 @@ TEST(ServerTest, AggregateMatchesBatchAnalyzer) {
             report::summary_to_json(from_serve, 10).dump());
 }
 
+/// The section `key` of `summary` with the members a query adds around it.
+report::Json with_kind(const report::Json& summary, const char* key,
+                       const char* kind) {
+  report::Json answer = *summary.find(key);
+  answer["kind"] = kind;
+  return answer;
+}
+
+/// The top-N answer over a ranking section: its first n rows.
+report::Json top_n_answer(const report::Json& rows, const char* kind, int n) {
+  report::Json answer = report::Json::object();
+  answer["kind"] = kind;
+  answer["n"] = n;
+  report::Json prefix = report::Json::array();
+  for (std::size_t i = 0; i < rows.size() && i < static_cast<std::size_t>(n);
+       ++i) {
+    prefix.push_back(rows.at(i));
+  }
+  answer["rows"] = std::move(prefix);
+  return answer;
+}
+
+TEST(ServerTest, ServedPaperTablesAreTheBatchSections) {
+  // serve == batch for every served paper table: each answer is the
+  // matching section of summary_to_json over analyze_archive of the same
+  // archive, byte for byte, plus its "kind" (and "n" for top-N slices).
+  corpus::Corpus corpus(small_params(60));
+  const std::string archive = packed_archive(corpus);
+  const auto server = server_over(archive);
+  store::Error error;
+  auto reader = store::Reader::from_buffer(archive, &error);
+  ASSERT_TRUE(reader.has_value());
+  analysis::Analyzer batch(corpus.entities());
+  ASSERT_TRUE(analysis::analyze_archive(*reader, batch, &error));
+  const report::Json top10 = report::summary_to_json(batch, 10);
+  const report::Json all = report::summary_to_json(batch, 100000);
+
+  const auto served = [&](const std::string& line) {
+    return server->handle_text(*parse_query(line));
+  };
+  EXPECT_EQ(served("table1"), with_kind(top10, "table1", "table1").dump());
+  EXPECT_EQ(served("totals"), with_kind(top10, "totals", "totals").dump());
+  const report::Json& exfiltrated = *top10.find("top_exfiltrated");
+  const report::Json& domains = *top10.find("top_exfiltrator_domains");
+  ASSERT_GE(exfiltrated.size(), 5u);
+  ASSERT_GE(domains.size(), 3u);
+  for (const int n : {1, 5, 10}) {
+    const std::string text = std::to_string(n);
+    EXPECT_EQ(served("top-exfiltrated " + text),
+              top_n_answer(exfiltrated, "top-exfiltrated", n).dump());
+    EXPECT_EQ(served("top-domains " + text),
+              top_n_answer(domains, "top-domains", n).dump());
+  }
+  // Past the end of the ranking, the answer is the whole ranking.
+  EXPECT_EQ(served("top-exfiltrated 100000"),
+            top_n_answer(*all.find("top_exfiltrated"), "top-exfiltrated",
+                         100000)
+                .dump());
+  EXPECT_EQ(served("top-domains 100000"),
+            top_n_answer(*all.find("top_exfiltrator_domains"), "top-domains",
+                         100000)
+                .dump());
+
+  // The bare waves trend over one archive: one row, the totals section.
+  report::Json row = *top10.find("totals");
+  row["wave"] = 0;
+  report::Json rows = report::Json::array();
+  rows.push_back(std::move(row));
+  report::Json waves = report::Json::object();
+  waves["kind"] = "waves";
+  waves["waves"] = 1;
+  waves["rows"] = std::move(rows);
+  EXPECT_EQ(served("waves"), waves.dump());
+}
+
 TEST(ServerTest, SiteAnswersAreStableAndCacheIsTransparent) {
   corpus::Corpus corpus(small_params(40));
   const auto server = server_over(packed_archive(corpus));
@@ -619,13 +694,14 @@ TEST(ServerTest, WavesQueryOnOneArchiveIsAOneRowTrend) {
   const report::Json& row = rows->at(0);
   EXPECT_EQ(row.find("wave")->as_int(-1), 0);
 
-  // A single archive is a one-wave chain: its one row is the totals answer.
+  // A single archive is a one-wave chain: its one row is the totals answer,
+  // in the same vocabulary.
   q.kind = QueryKind::kTotals;
   const auto totals = server->handle(q);
   for (const char* key :
        {"sites_crawled", "sites_complete", "sites_with_third_party",
-        "third_party_scripts", "tp_cookies_set", "fp_cookies_set",
-        "unique_pairs", "cross_overwrites"}) {
+        "third_party_script_count", "tp_cookies_set", "fp_cookies_set",
+        "unique_pairs", "exfiltrated_pairs", "cross_overwrites"}) {
     ASSERT_NE(row.find(key), nullptr) << key;
     ASSERT_NE(totals.find(key), nullptr) << key;
     EXPECT_EQ(row.find(key)->as_int(-1), totals.find(key)->as_int(-2))

@@ -396,11 +396,10 @@ TEST(StoreDeterminismTest, AnalysisFromArchiveMatchesLiveCrawl) {
             replayed.totals().sites_doc_overwrite);
   EXPECT_EQ(live.totals().sites_doc_delete,
             replayed.totals().sites_doc_delete);
-  EXPECT_EQ(live.pair_count(cookies::CookieSource::kDocumentCookie),
-            replayed.pair_count(cookies::CookieSource::kDocumentCookie));
-  EXPECT_EQ(
-      live.exfiltrated_pair_count(cookies::CookieSource::kDocumentCookie),
-      replayed.exfiltrated_pair_count(cookies::CookieSource::kDocumentCookie));
+  const auto doc = cookies::CookieSource::kDocumentCookie;
+  EXPECT_EQ(live.summary().pair_count(doc), replayed.summary().pair_count(doc));
+  EXPECT_EQ(live.summary().exfiltrated_pair_count(doc),
+            replayed.summary().exfiltrated_pair_count(doc));
 }
 
 // ---- envelope rejection --------------------------------------------------

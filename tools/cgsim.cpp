@@ -214,24 +214,26 @@ bool write_json_output(const cli::Flags& flags, std::string_view flag,
 /// False when a requested output file could not be written.
 bool print_analysis(const cli::Flags& flags,
                     const analysis::Analyzer& analyzer) {
-  const auto& t = analyzer.totals();
-  const double n = t.sites_complete;
-  std::printf("sites analyzed: %d\n", t.sites_complete);
+  const report::Json table1 = report::table1_to_json(analyzer.summary());
+  const report::Json& doc = *table1.find("document_cookie");
+  std::printf("sites analyzed: %lld\n",
+              static_cast<long long>(table1.find("sites_complete")->as_int()));
   std::printf("cross-domain exfiltration: %.1f%% | overwriting: %.1f%% | "
               "deletion: %.1f%%\n",
-              100.0 * t.sites_doc_exfil / n, 100.0 * t.sites_doc_overwrite / n,
-              100.0 * t.sites_doc_delete / n);
+              doc.find("pct_sites_exfiltrating")->as_double(),
+              doc.find("pct_sites_overwriting")->as_double(),
+              doc.find("pct_sites_deleting")->as_double());
 
   bool ok = write_json_output(flags, "json",
                               report::summary_to_json(analyzer, 20));
   if (const auto path = flags.find("pairs-csv")) {
     std::ostringstream out;
-    report::write_pairs_csv(analyzer, 20, out);
+    report::write_pairs_csv(analyzer.summary(), 20, out);
     ok = write_output(path->text, out.str()) && ok;
   }
   if (const auto path = flags.find("domains-csv")) {
     std::ostringstream out;
-    report::write_domains_csv(analyzer, 20, out);
+    report::write_domains_csv(analyzer.summary(), 20, out);
     ok = write_output(path->text, out.str()) && ok;
   }
   return ok;
@@ -817,7 +819,8 @@ int cmd_trace_check(const cli::Flags& flags) {
 int cmd_perf(const cli::Flags& flags) {
   corpus::Corpus corpus(corpus_params(flags));
   const auto comparison = perf::compare_page_load(
-      corpus, corpus.size(), {}, flags.get_int("threads", 1, 0));
+      corpus, corpus.size(), policy::PolicyKind::kCookieGuard, {},
+      flags.get_int("threads", 1, 0));
   std::printf("load event: %.0f ms -> %.0f ms (overhead %.0f ms)\n",
               comparison.normal.load_event.mean_ms,
               comparison.guarded.load_event.mean_ms,

@@ -12,6 +12,7 @@
 // for evaluating attribution accuracy.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,13 +21,20 @@
 #include "cookies/cookie_jar.h"
 #include "net/http.h"
 #include "script/exec_context.h"
-#include "script/page_services.h"
 #include "webplat/stack_trace.h"
 
 namespace cg::browser {
 
 class Page;
 class Browser;
+
+/// One cookie as a script read hands it out: its name and value, views
+/// into the jar. They stay valid while the hook runs, so a hook that sees
+/// them must not write cookies.
+struct CookiePair {
+  std::string_view name;
+  std::string_view value;
+};
 
 class Extension {
  public:
@@ -41,74 +49,50 @@ class Extension {
   /// Page reached its load event.
   virtual void on_page_finished(Page& page) { (void)page; }
 
-  // ---- cookie API interception (content-script layer) -----------------
+  // ---- cookie API boundary (content-script layer) ----------------------
+  // Every script cookie call crosses these hooks once, tagged by the API
+  // it came through: kDocumentCookie (the getter/setter) or kCookieStore
+  // (get/getAll/set/delete).
 
-  /// Filter the string document.cookie returns. Called in registration
-  /// order; each extension receives the previous one's output.
-  virtual std::string filter_document_cookie_read(
-      Page& page, const script::ExecContext& ctx,
-      const webplat::StackTrace& stack, std::string value) {
+  /// Filter the cookies a read returns, in jar order. Called in
+  /// registration order; each extension receives the previous one's
+  /// output. Only names and values are visible, as to a real wrapper.
+  virtual void filter_cookie_read(Page& page, const script::ExecContext& ctx,
+                                  const webplat::StackTrace& stack,
+                                  cookies::CookieSource api,
+                                  std::vector<CookiePair>& cookies) {
     (void)page;
     (void)ctx;
     (void)stack;
-    return value;
-  }
-
-  /// Veto a document.cookie write. Returning false blocks the jar update.
-  virtual bool allow_document_cookie_write(Page& page,
-                                           const script::ExecContext& ctx,
-                                           const webplat::StackTrace& stack,
-                                           std::string_view cookie_line) {
-    (void)page;
-    (void)ctx;
-    (void)stack;
-    (void)cookie_line;
-    return true;
-  }
-
-  /// Filter the structured list cookieStore.getAll() resolves with.
-  virtual void filter_store_read(Page& page, const script::ExecContext& ctx,
-                                 const webplat::StackTrace& stack,
-                                 std::vector<script::StoreCookie>& cookies) {
-    (void)page;
-    (void)ctx;
-    (void)stack;
+    (void)api;
     (void)cookies;
   }
 
-  /// Veto cookieStore.set / cookieStore.delete.
-  virtual bool allow_store_write(Page& page, const script::ExecContext& ctx,
-                                 const webplat::StackTrace& stack,
-                                 std::string_view name,
-                                 std::string_view value, bool is_delete) {
+  /// Veto a write (document.cookie assignment, cookieStore.set/delete) of
+  /// the cookie `name`. Returning false blocks it before the jar sees it.
+  virtual bool allow_cookie_write(Page& page, const script::ExecContext& ctx,
+                                  const webplat::StackTrace& stack,
+                                  cookies::CookieSource api,
+                                  std::string_view name) {
     (void)page;
     (void)ctx;
     (void)stack;
+    (void)api;
     (void)name;
-    (void)value;
-    (void)is_delete;
     return true;
   }
 
   // ---- observations ----------------------------------------------------
 
-  virtual void on_document_cookie_read(Page& page,
-                                       const script::ExecContext& ctx,
-                                       const webplat::StackTrace& stack,
-                                       const std::string& returned_value) {
+  /// A read returned `count` cookies, after every filter.
+  virtual void on_cookie_read(Page& page, const script::ExecContext& ctx,
+                              const webplat::StackTrace& stack,
+                              cookies::CookieSource api, std::size_t count) {
     (void)page;
     (void)ctx;
     (void)stack;
-    (void)returned_value;
-  }
-
-  virtual void on_store_read(Page& page, const script::ExecContext& ctx,
-                             const webplat::StackTrace& stack,
-                             const std::vector<script::StoreCookie>& cookies) {
-    (void)page;
-    (void)ctx;
-    (void)stack;
-    (void)cookies;
+    (void)api;
+    (void)count;
   }
 
   /// A script-initiated jar change completed (document.cookie or
@@ -123,16 +107,6 @@ class Extension {
     (void)stack;
     (void)change;
     (void)api;
-  }
-
-  /// A write was vetoed by some extension (for blocked-action accounting).
-  virtual void on_write_blocked(Page& page, const script::ExecContext& ctx,
-                                const webplat::StackTrace& stack,
-                                std::string_view cookie_line) {
-    (void)page;
-    (void)ctx;
-    (void)stack;
-    (void)cookie_line;
   }
 
   /// webRequest.onHeadersReceived: response arrived; `changes` are the jar

@@ -18,6 +18,31 @@ std::string expand_site(std::string_view url_template, std::string_view host) {
 
 constexpr int kMaxInclusionDepth = 8;
 
+// The cookie name a document.cookie assignment line names: the text before
+// the first '=' of its first ';'-separated part, spaces trimmed.
+std::string_view cookie_name_of(std::string_view cookie_line) {
+  std::string_view name = cookie_line.substr(0, cookie_line.find(';'));
+  name = name.substr(0, name.find('='));
+  while (!name.empty() && name.front() == ' ') name.remove_prefix(1);
+  while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
+  return name;
+}
+
+// The cookie cookieStore.set(name, value) stores, or with no `value` the
+// expired one cookieStore.delete(name) stores to delete it.
+net::ParsedSetCookie cookie_store_cookie(
+    std::string_view name, std::optional<std::string_view> value) {
+  net::ParsedSetCookie parsed;
+  parsed.name = std::string(name);
+  parsed.path = "/";
+  if (value) {
+    parsed.value = std::string(*value);
+  } else {
+    parsed.max_age_ms = -1000;
+  }
+  return parsed;
+}
+
 // Right-skewed latency: base + jitter * u1*u2*u3 (mean base + jitter/8,
 // median ~ base + 0.069*jitter) — the long-tailed shape of real page loads.
 TimeMillis skewed_latency(TimeMillis base, TimeMillis jitter,
@@ -256,7 +281,7 @@ void Page::policy_read(const policy::CookieAccessContext& ctx, TimeMillis now,
 class Page::FrameServices final : public script::PageServices {
  public:
   FrameServices(Page& page, webplat::Frame& frame)
-      : page_(page), frame_(frame) {}
+      : page_(page), frame_(frame), origin_(frame.url().origin()) {}
 
   std::string document_cookie_read(const script::ExecContext&) override {
     page_.charge_api_call();
@@ -270,18 +295,17 @@ class Page::FrameServices final : public script::PageServices {
                              std::string_view cookie_line) override {
     page_.charge_api_call();
     if (const auto parsed = net::parse_set_cookie(cookie_line)) {
-      store(*parsed, std::nullopt);
+      store(*parsed, cookies::CookieSource::kDocumentCookie);
     }
   }
   void cookie_store_get_all(
-      const script::ExecContext& ctx,
+      const script::ExecContext&,
       std::function<void(std::vector<script::StoreCookie>)> callback)
       override {
     std::vector<script::StoreCookie> cookies;
     read_cookies([&cookies](const cookies::Cookie& c) {
       cookies.push_back({c.name, c.value});
     });
-    (void)ctx;
     callback(std::move(cookies));
   }
   void cookie_store_get(
@@ -298,19 +322,13 @@ class Page::FrameServices final : public script::PageServices {
   }
   void cookie_store_set(const script::ExecContext&, std::string_view name,
                         std::string_view value) override {
-    net::ParsedSetCookie parsed;
-    parsed.name = std::string(name);
-    parsed.value = std::string(value);
-    parsed.path = "/";
-    store(parsed, cookies::CookieSource::kCookieStore);
+    store(cookie_store_cookie(name, value),
+          cookies::CookieSource::kCookieStore);
   }
   void cookie_store_delete(const script::ExecContext&,
                            std::string_view name) override {
-    net::ParsedSetCookie parsed;
-    parsed.name = std::string(name);
-    parsed.path = "/";
-    parsed.max_age_ms = -1000;
-    store(parsed, std::nullopt);
+    store(cookie_store_cookie(name, std::nullopt),
+          cookies::CookieSource::kCookieStore);
   }
   void send_request(const script::ExecContext& ctx,
                     const net::Url& url) override {
@@ -335,7 +353,7 @@ class Page::FrameServices final : public script::PageServices {
  private:
   policy::CookieAccessContext frame_ctx() const {
     auto ctx = page_.cookie_ctx(frame_.url(), cookies::JarApi::kScript);
-    ctx.frame_origin = frame_.url().origin();
+    ctx.frame_origin = origin_;
     return ctx;
   }
   template <typename Visitor>
@@ -343,13 +361,14 @@ class Page::FrameServices final : public script::PageServices {
     page_.policy_read(frame_ctx(), page_.browser().clock().now(), visit);
   }
   void store(const net::ParsedSetCookie& parsed,
-             std::optional<cookies::CookieSource> source) {
+             cookies::CookieSource source) {
     page_.policy_store(frame_.url(), parsed, frame_ctx(),
                        page_.browser().clock().now(), source);
   }
 
   Page& page_;
   webplat::Frame& frame_;
+  std::string origin_;
 };
 
 webplat::Frame& Page::create_subframe(const net::Url& url) {
@@ -374,19 +393,16 @@ void Page::run_in_frame(
 
 policy::CookieAccessContext Page::cookie_ctx(const net::Url& subject,
                                              cookies::JarApi api) const {
-  policy::CookieAccessContext access;
-  access.top_level_site = top_level_site_;
-  access.subject_url = subject;
-  access.cross_site = !net::same_site(subject, url_);
-  access.script_origin = policy::script_origin_from_stack(stack_);
-  access.api = api;
-  return access;
+  return {.top_level_site = top_level_site_,
+          .subject_url = subject,
+          .cross_site = !net::same_site(subject, url_),
+          .api = api};
 }
 
 std::optional<cookies::CookieChange> Page::policy_store(
     const net::Url& source_url, const net::ParsedSetCookie& parsed,
     policy::CookieAccessContext ctx, TimeMillis now,
-    std::optional<cookies::CookieSource> source) {
+    cookies::CookieSource source) {
   ctx.partitioned_attribute = parsed.partitioned;
   const auto decision = browser_.policy().key_for_store(ctx);
   if (!decision.allowed) {
@@ -404,19 +420,70 @@ std::optional<cookies::CookieChange> Page::policy_store(
                                                     ctx.api, source);
 }
 
+const std::vector<CookiePair>& Page::script_read(
+    const script::ExecContext& ctx, cookies::CookieSource api,
+    std::optional<std::string_view> name) {
+  read_pairs_.clear();
+  policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
+              browser_.clock().now(), [&](const cookies::Cookie& c) {
+                if (!name || c.name == *name) {
+                  read_pairs_.push_back({c.name, c.value});
+                }
+              });
+  for (auto* extension : browser_.extensions()) {
+    extension->filter_cookie_read(*this, ctx, stack_, api, read_pairs_);
+  }
+  for (auto* extension : browser_.extensions()) {
+    extension->on_cookie_read(*this, ctx, stack_, api, read_pairs_.size());
+  }
+  return read_pairs_;
+}
+
+template <typename Parse>
+void Page::script_write(const script::ExecContext& ctx,
+                        cookies::CookieSource api, std::string_view name,
+                        Parse&& parse) {
+  for (auto* extension : browser_.extensions()) {
+    if (!extension->allow_cookie_write(*this, ctx, stack_, api, name)) return;
+  }
+  const std::optional<net::ParsedSetCookie> parsed = parse();
+  std::optional<cookies::CookieChange> change;
+  if (parsed) {
+    change = policy_store(url_, *parsed,
+                          cookie_ctx(url_, cookies::JarApi::kScript),
+                          browser_.clock().now(), api);
+    if (!change) return;
+  } else {
+    // Parse failures are jar-level rejections, not policy blocks.
+    change.emplace().reject_reason = "unparseable cookie string";
+  }
+  for (auto* extension : browser_.extensions()) {
+    extension->on_script_cookie_change(*this, ctx, stack_, *change, api);
+  }
+}
+
+template <typename Body>
+void Page::post_cookie_store(Body&& body) {
+  charge_api_call();
+  const webplat::StackTrace captured = stack_;
+  loop_.post_microtask(
+      [this, body = std::forward<Body>(body), captured]() {
+        const webplat::StackTrace saved = std::exchange(stack_, captured);
+        body();
+        stack_ = saved;
+      },
+      captured);
+}
+
 std::string Page::document_cookie_read(const script::ExecContext& ctx) {
   charge_api_call();
   std::string value;
-  policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-              browser_.clock().now(), [&value](const cookies::Cookie& c) {
-                cookies::append_cookie_pair(value, c);
-              });
-  for (auto* extension : browser_.extensions()) {
-    value = extension->filter_document_cookie_read(*this, ctx, stack_,
-                                                   std::move(value));
-  }
-  for (auto* extension : browser_.extensions()) {
-    extension->on_document_cookie_read(*this, ctx, stack_, value);
+  for (const auto& pair :
+       script_read(ctx, cookies::CookieSource::kDocumentCookie)) {
+    if (!value.empty()) value += "; ";
+    value += pair.name;
+    value += '=';
+    value += pair.value;
   }
   return value;
 }
@@ -424,194 +491,56 @@ std::string Page::document_cookie_read(const script::ExecContext& ctx) {
 void Page::document_cookie_write(const script::ExecContext& ctx,
                                  std::string_view cookie_line) {
   charge_api_call();
-  for (auto* extension : browser_.extensions()) {
-    if (!extension->allow_document_cookie_write(*this, ctx, stack_,
-                                                cookie_line)) {
-      for (auto* observer : browser_.extensions()) {
-        observer->on_write_blocked(*this, ctx, stack_, cookie_line);
-      }
-      return;
-    }
-  }
-  const TimeMillis now = browser_.clock().now();
-  const auto parsed = net::parse_set_cookie(cookie_line);
-  if (!parsed) {
-    // Keep the legacy set_from_string rejection shape: parse failures are
-    // jar-level rejections, not policy blocks.
-    cookies::CookieChange change;
-    change.reject_reason = "unparseable cookie string";
-    for (auto* extension : browser_.extensions()) {
-      extension->on_script_cookie_change(
-          *this, ctx, stack_, change, cookies::CookieSource::kDocumentCookie);
-    }
-    return;
-  }
-  const auto change =
-      policy_store(url_, *parsed, cookie_ctx(url_, cookies::JarApi::kScript),
-                   now);
-  if (!change) {
-    for (auto* observer : browser_.extensions()) {
-      observer->on_write_blocked(*this, ctx, stack_, cookie_line);
-    }
-    return;
-  }
-  for (auto* extension : browser_.extensions()) {
-    extension->on_script_cookie_change(*this, ctx, stack_, *change,
-                                       cookies::CookieSource::kDocumentCookie);
-  }
+  script_write(ctx, cookies::CookieSource::kDocumentCookie,
+               cookie_name_of(cookie_line),
+               [cookie_line] { return net::parse_set_cookie(cookie_line); });
 }
 
 void Page::cookie_store_get_all(
     const script::ExecContext& ctx,
     std::function<void(std::vector<script::StoreCookie>)> callback) {
-  charge_api_call();
-  const webplat::StackTrace captured = stack_;
-  loop_.post_microtask(
-      [this, ctx, callback = std::move(callback), captured]() {
-        const webplat::StackTrace saved = std::exchange(stack_, captured);
-        std::vector<script::StoreCookie> cookies;
-        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                    browser_.clock().now(),
-                    [&cookies](const cookies::Cookie& c) {
-                      cookies.push_back({c.name, c.value});
-                    });
-        for (auto* extension : browser_.extensions()) {
-          extension->filter_store_read(*this, ctx, stack_, cookies);
-        }
-        for (auto* extension : browser_.extensions()) {
-          extension->on_store_read(*this, ctx, stack_, cookies);
-        }
-        callback(std::move(cookies));
-        stack_ = saved;
-      },
-      captured);
+  post_cookie_store([this, ctx, callback = std::move(callback)] {
+    std::vector<script::StoreCookie> cookies;
+    for (const auto& pair :
+         script_read(ctx, cookies::CookieSource::kCookieStore)) {
+      cookies.push_back({std::string(pair.name), std::string(pair.value)});
+    }
+    callback(std::move(cookies));
+  });
 }
 
 void Page::cookie_store_get(
     const script::ExecContext& ctx, std::string_view name,
     std::function<void(std::optional<script::StoreCookie>)> callback) {
-  charge_api_call();
-  const webplat::StackTrace captured = stack_;
-  std::string wanted(name);
-  loop_.post_microtask(
-      [this, ctx, wanted, callback = std::move(callback), captured]() {
-        const webplat::StackTrace saved = std::exchange(stack_, captured);
-        std::vector<script::StoreCookie> cookies;
-        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                    browser_.clock().now(),
-                    [&](const cookies::Cookie& c) {
-                      if (c.name == wanted) {
-                        cookies.push_back({c.name, c.value});
-                      }
-                    });
-        // The same per-origin filter applies to single-cookie lookups.
-        for (auto* extension : browser_.extensions()) {
-          extension->filter_store_read(*this, ctx, stack_, cookies);
-        }
-        for (auto* extension : browser_.extensions()) {
-          extension->on_store_read(*this, ctx, stack_, cookies);
-        }
-        callback(cookies.empty()
+  post_cookie_store(
+      [this, ctx, name = std::string(name), callback = std::move(callback)] {
+        const auto& pairs =
+            script_read(ctx, cookies::CookieSource::kCookieStore, name);
+        callback(pairs.empty()
                      ? std::nullopt
-                     : std::optional<script::StoreCookie>(cookies.front()));
-        stack_ = saved;
-      },
-      captured);
+                     : std::optional<script::StoreCookie>(
+                           {std::string(pairs.front().name),
+                            std::string(pairs.front().value)}));
+      });
 }
 
 void Page::cookie_store_set(const script::ExecContext& ctx,
                             std::string_view name, std::string_view value) {
-  charge_api_call();
-  const webplat::StackTrace captured = stack_;
-  std::string cookie_name(name);
-  std::string cookie_value(value);
-  loop_.post_microtask(
-      [this, ctx, cookie_name, cookie_value, captured]() {
-        const webplat::StackTrace saved = std::exchange(stack_, captured);
-        bool allowed = true;
-        for (auto* extension : browser_.extensions()) {
-          if (!extension->allow_store_write(*this, ctx, stack_, cookie_name,
-                                            cookie_value,
-                                            /*is_delete=*/false)) {
-            allowed = false;
-            break;
-          }
-        }
-        if (allowed) {
-          net::ParsedSetCookie parsed;
-          parsed.name = cookie_name;
-          parsed.value = cookie_value;
-          parsed.path = "/";
-          const auto change = policy_store(
-              url_, parsed, cookie_ctx(url_, cookies::JarApi::kScript),
-              browser_.clock().now(), cookies::CookieSource::kCookieStore);
-          if (change) {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_script_cookie_change(
-                  *this, ctx, stack_, *change,
-                  cookies::CookieSource::kCookieStore);
-            }
-          } else {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_write_blocked(*this, ctx, stack_,
-                                          cookie_name + "=" + cookie_value);
-            }
-          }
-        } else {
-          for (auto* extension : browser_.extensions()) {
-            extension->on_write_blocked(*this, ctx, stack_,
-                                        cookie_name + "=" + cookie_value);
-          }
-        }
-        stack_ = saved;
-      },
-      captured);
+  post_cookie_store(
+      [this, ctx, name = std::string(name), value = std::string(value)] {
+        script_write(ctx, cookies::CookieSource::kCookieStore, name, [&] {
+          return std::optional(cookie_store_cookie(name, value));
+        });
+      });
 }
 
 void Page::cookie_store_delete(const script::ExecContext& ctx,
                                std::string_view name) {
-  charge_api_call();
-  const webplat::StackTrace captured = stack_;
-  std::string cookie_name(name);
-  loop_.post_microtask(
-      [this, ctx, cookie_name, captured]() {
-        const webplat::StackTrace saved = std::exchange(stack_, captured);
-        bool allowed = true;
-        for (auto* extension : browser_.extensions()) {
-          if (!extension->allow_store_write(*this, ctx, stack_, cookie_name,
-                                            "", /*is_delete=*/true)) {
-            allowed = false;
-            break;
-          }
-        }
-        if (allowed) {
-          net::ParsedSetCookie parsed;
-          parsed.name = cookie_name;
-          parsed.path = "/";
-          parsed.max_age_ms = -1000;
-          const auto change = policy_store(
-              url_, parsed, cookie_ctx(url_, cookies::JarApi::kScript),
-              browser_.clock().now(), cookies::CookieSource::kCookieStore);
-          if (change) {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_script_cookie_change(
-                  *this, ctx, stack_, *change,
-                  cookies::CookieSource::kCookieStore);
-            }
-          } else {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_write_blocked(*this, ctx, stack_,
-                                          cookie_name + "=");
-            }
-          }
-        } else {
-          for (auto* extension : browser_.extensions()) {
-            extension->on_write_blocked(*this, ctx, stack_, cookie_name + "=");
-          }
-        }
-        stack_ = saved;
-      },
-      captured);
+  post_cookie_store([this, ctx, name = std::string(name)] {
+    script_write(ctx, cookies::CookieSource::kCookieStore, name, [&] {
+      return std::optional(cookie_store_cookie(name, std::nullopt));
+    });
+  });
 }
 
 // ---- network / inclusion / scheduling ----------------------------------
@@ -700,7 +629,8 @@ net::HttpResponse Page::fetch(net::HttpRequest request,
   std::vector<cookies::CookieChange> changes;
   for (const auto& header : response.set_cookie_headers()) {
     if (const auto parsed = net::parse_set_cookie(header)) {
-      if (auto change = policy_store(request.url, *parsed, http_ctx, now)) {
+      if (auto change = policy_store(request.url, *parsed, http_ctx, now,
+                                     cookies::CookieSource::kHttpHeader)) {
         changes.push_back(std::move(*change));
       }
     }

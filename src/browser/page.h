@@ -17,6 +17,7 @@
 
 #include "browser/browser.h"
 #include "browser/document_spec.h"
+#include "browser/extension.h"
 #include "net/http.h"
 #include "net/url.h"
 #include "script/exec_context.h"
@@ -128,7 +129,7 @@ class Page final : public script::PageServices {
                           const script::ExecContext* initiator);
 
   /// Policy context for an access scoped to `subject` on this page: the
-  /// top-level site, cross-site bit, and stack-attributed script origin.
+  /// top-level site and the cross-site bit. Refers to `subject`.
   policy::CookieAccessContext cookie_ctx(const net::Url& subject,
                                          cookies::JarApi api) const;
 
@@ -142,14 +143,38 @@ class Page final : public script::PageServices {
   void policy_read(const policy::CookieAccessContext& ctx, TimeMillis now,
                    Visitor&& visit);
 
-  /// Storage through the active policy; returns the jar's CookieChange, or
-  /// nullopt when the policy refused the store (defense-caused refusals are
-  /// tallied in Browser::policy_stats and `policy.*` metrics; callers fire
-  /// on_write_blocked like an extension veto).
+  /// Storage through the active policy, recorded as coming from `source`;
+  /// returns the jar's CookieChange, or nullopt when the policy refused
+  /// the store (defense-caused refusals are tallied in
+  /// Browser::policy_stats and `policy.*` metrics).
   std::optional<cookies::CookieChange> policy_store(
       const net::Url& source_url, const net::ParsedSetCookie& parsed,
       policy::CookieAccessContext ctx, TimeMillis now,
-      std::optional<cookies::CookieSource> source = std::nullopt);
+      cookies::CookieSource source);
+
+  /// The one script cookie read, for both APIs: the policy read of the
+  /// page URL (only cookies named `name` when it is set, for
+  /// cookieStore.get), then every extension's filter_cookie_read, then
+  /// every on_cookie_read. The pairs view the jar and are overwritten by
+  /// the next read; callers copy out what they keep.
+  const std::vector<CookiePair>& script_read(
+      const script::ExecContext& ctx, cookies::CookieSource api,
+      std::optional<std::string_view> name = std::nullopt);
+
+  /// The one script cookie write, for both APIs: every extension's
+  /// allow_cookie_write veto on `name`, then `parse()` (after the veto, so
+  /// a vetoed line is never parsed), policy_store and
+  /// on_script_cookie_change. A cookie `parse` rejects reaches the
+  /// observers as a kRejected change. Defined in page.cpp, its only user.
+  template <typename Parse>
+  void script_write(const script::ExecContext& ctx, cookies::CookieSource api,
+                    std::string_view name, Parse&& parse);
+
+  /// Charges the API call, captures the caller's stack, and queues `body`
+  /// as a microtask that runs under that stack — how every cookieStore
+  /// promise settles. Defined in page.cpp, its only user.
+  template <typename Body>
+  void post_cookie_store(Body&& body);
 
   class FrameServices;
 
@@ -166,6 +191,8 @@ class Page final : public script::PageServices {
   fault::FailureClass load_failure_ = fault::FailureClass::kNone;
   TimeMillis nav_start_ = 0;
   int inclusion_depth_ = 0;  // guards against inject cycles
+  /// script_read's reused result buffer.
+  std::vector<CookiePair> read_pairs_;
   /// Origins of the cross-origin frames this page ran; the destructor drops
   /// their policy::frame_partition_key partitions, so frame cookies live
   /// for one page (Safari-ITP/Total-Cookie-Protection style, §2.1).

@@ -3,7 +3,6 @@
 #include "browser/page.h"
 #include "net/psl.h"
 #include "obs/trace.h"
-#include "script/interpreter.h"
 
 namespace cg::cookieguard {
 namespace {
@@ -16,20 +15,6 @@ void note_decision(browser::Page& page, std::string_view name) {
   obs::metric_add(name);
   obs::instant(obs::Detail::kFull, "cookieguard", name,
                page.browser().clock().now());
-}
-
-// Extracts the cookie name from a document.cookie assignment line.
-std::string cookie_name_of(std::string_view cookie_line) {
-  const auto semi = cookie_line.find(';');
-  std::string_view pair = (semi == std::string_view::npos)
-                              ? cookie_line
-                              : cookie_line.substr(0, semi);
-  const auto eq = pair.find('=');
-  std::string_view name =
-      (eq == std::string_view::npos) ? pair : pair.substr(0, eq);
-  while (!name.empty() && name.front() == ' ') name.remove_prefix(1);
-  while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
-  return std::string(name);
 }
 
 }  // namespace
@@ -51,7 +36,7 @@ CookieGuard::CookieGuard(CookieGuardConfig config,
     return std::string{};
   });
   bus_.register_handler("lookup", [this](const std::string& payload) {
-    return store_.creator(payload).value_or("");
+    return std::string(store_.creator(payload).value_or(""));
   });
 }
 
@@ -99,7 +84,7 @@ std::string CookieGuard::resolve_actor(const webplat::StackTrace& stack,
 }
 
 bool CookieGuard::may_access(const std::string& actor_domain,
-                             const std::string& creator_domain,
+                             std::string_view creator_domain,
                              const std::string& site) const {
   if (actor_domain.empty()) return false;  // inline / unattributable
   if (actor_domain == creator_domain) return true;
@@ -116,85 +101,48 @@ bool CookieGuard::may_access(const std::string& actor_domain,
   return false;
 }
 
-std::string CookieGuard::filter_document_cookie_read(
-    browser::Page& page, const script::ExecContext& ctx,
-    const webplat::StackTrace& stack, std::string value) {
+void CookieGuard::filter_cookie_read(browser::Page& page,
+                                     const script::ExecContext& ctx,
+                                     const webplat::StackTrace& stack,
+                                     cookies::CookieSource api,
+                                     std::vector<browser::CookiePair>& cookies) {
   (void)ctx;
-  const std::string actor = resolve_actor(stack, page);
-  if (actor.empty()) {
-    if (!config_.deny_inline_scripts) return value;
-    ++stats_.inline_denied;
-    note_decision(page, "cookieguard.inline_denied");
-    return std::string{};
-  }
-  const std::string& site = page.url().site();
-  if (config_.site_owner_full_access && actor == site) return value;
-
-  const auto dataset = store_.snapshot();  // background round trip
-  std::string filtered;
-  std::int64_t hidden = 0;
-  for (const auto& cookie : script::parse_cookie_string(value)) {
-    const auto creator_it = dataset.find(cookie.name);
-    // Untracked cookies default to first-party ownership.
-    const std::string creator =
-        creator_it == dataset.end() ? site : creator_it->second;
-    if (may_access(actor, creator, site)) {
-      if (!filtered.empty()) filtered += "; ";
-      filtered += cookie.name + "=" + cookie.value;
-    } else {
-      ++hidden;
-      ++stats_.cookies_hidden;
-    }
-  }
-  if (hidden > 0) {
-    ++stats_.reads_filtered;
-    note_decision(page, "cookieguard.reads_filtered");
-    obs::metric_add("cookieguard.cookies_hidden", hidden);
-  }
-  return filtered;
-}
-
-void CookieGuard::filter_store_read(browser::Page& page,
-                                    const script::ExecContext& ctx,
-                                    const webplat::StackTrace& stack,
-                                    std::vector<script::StoreCookie>& cookies) {
-  (void)ctx;
+  (void)api;
   const std::string actor = resolve_actor(stack, page);
   const std::string& site = page.url().site();
+  const std::size_t before = cookies.size();
   if (actor.empty()) {
     if (!config_.deny_inline_scripts) return;
-    ++stats_.inline_denied;
-    stats_.cookies_hidden += cookies.size();
-    note_decision(page, "cookieguard.inline_denied");
-    obs::metric_add("cookieguard.cookies_hidden",
-                    static_cast<std::int64_t>(cookies.size()));
     cookies.clear();
-    return;
+    ++stats_.inline_denied;
+    note_decision(page, "cookieguard.inline_denied");
+  } else {
+    if (config_.site_owner_full_access && actor == site) return;
+    std::erase_if(cookies, [&](const browser::CookiePair& cookie) {
+      // Untracked cookies default to first-party ownership.
+      const auto creator = store_.creator(cookie.name);
+      return !may_access(actor, creator.value_or(site), site);
+    });
+    if (cookies.size() != before) {
+      ++stats_.reads_filtered;
+      note_decision(page, "cookieguard.reads_filtered");
+    }
   }
-  if (config_.site_owner_full_access && actor == site) return;
-
-  const auto dataset = store_.snapshot();
-  const std::size_t before = cookies.size();
-  std::erase_if(cookies, [&](const script::StoreCookie& cookie) {
-    const auto creator_it = dataset.find(cookie.name);
-    const std::string creator =
-        creator_it == dataset.end() ? site : creator_it->second;
-    return !may_access(actor, creator, site);
-  });
-  if (cookies.size() != before) {
-    ++stats_.reads_filtered;
-    stats_.cookies_hidden += before - cookies.size();
-    note_decision(page, "cookieguard.reads_filtered");
+  const std::size_t hidden = before - cookies.size();
+  if (hidden > 0) {
+    stats_.cookies_hidden += hidden;
     obs::metric_add("cookieguard.cookies_hidden",
-                    static_cast<std::int64_t>(before - cookies.size()));
+                    static_cast<std::int64_t>(hidden));
   }
 }
 
-bool CookieGuard::allow_document_cookie_write(browser::Page& page,
-                                              const script::ExecContext& ctx,
-                                              const webplat::StackTrace& stack,
-                                              std::string_view cookie_line) {
+bool CookieGuard::allow_cookie_write(browser::Page& page,
+                                     const script::ExecContext& ctx,
+                                     const webplat::StackTrace& stack,
+                                     cookies::CookieSource api,
+                                     std::string_view name) {
   (void)ctx;
+  (void)api;
   const std::string actor = resolve_actor(stack, page);
   if (actor.empty()) {
     if (!config_.deny_inline_scripts) return true;
@@ -202,33 +150,8 @@ bool CookieGuard::allow_document_cookie_write(browser::Page& page,
     note_decision(page, "cookieguard.inline_denied");
     return false;
   }
-  const std::string name = cookie_name_of(cookie_line);
-  const std::string creator = bus_.request("lookup", name);
+  const std::string creator = bus_.request("lookup", std::string(name));
   if (creator.empty()) return true;  // new cookie: creation is always allowed
-  const std::string& site = page.url().site();
-  if (may_access(actor, creator, site)) return true;
-  ++stats_.writes_blocked;
-  note_decision(page, "cookieguard.writes_blocked");
-  return false;
-}
-
-bool CookieGuard::allow_store_write(browser::Page& page,
-                                    const script::ExecContext& ctx,
-                                    const webplat::StackTrace& stack,
-                                    std::string_view cookie_name,
-                                    std::string_view value, bool is_delete) {
-  (void)ctx;
-  (void)value;
-  (void)is_delete;
-  const std::string actor = resolve_actor(stack, page);
-  if (actor.empty()) {
-    if (!config_.deny_inline_scripts) return true;
-    ++stats_.inline_denied;
-    note_decision(page, "cookieguard.inline_denied");
-    return false;
-  }
-  const std::string creator = bus_.request("lookup", std::string(cookie_name));
-  if (creator.empty()) return true;
   if (may_access(actor, creator, page.url().site())) return true;
   ++stats_.writes_blocked;
   note_decision(page, "cookieguard.writes_blocked");

@@ -10,7 +10,8 @@
 //     blocked.
 //   * The site owner's own scripts get full access (anti-breakage policy,
 //     §6.1) — this is why Figure 5's reductions are ~83-86%, not 100%.
-//   * Inline scripts (unattributable) are denied all cookie access.
+//   * Inline scripts (unattributable) are denied all cookie access; the
+//     cookies a denied read would have returned count as hidden.
 //   * Optional entity grouping (DuckDuckGo-entities whitelist) treats
 //     same-entity domains as one owner (facebook.com ↔ fbcdn.net), the
 //     refinement that cuts breakage from 11% to 3% (§7.2).
@@ -84,21 +85,14 @@ class CookieGuard final : public browser::Extension {
 
   // ---- browser::Extension -----------------------------------------------
   void on_visit_start(browser::Browser& browser) override;
-  std::string filter_document_cookie_read(browser::Page& page,
-                                          const script::ExecContext& ctx,
-                                          const webplat::StackTrace& stack,
-                                          std::string value) override;
-  bool allow_document_cookie_write(browser::Page& page,
-                                   const script::ExecContext& ctx,
-                                   const webplat::StackTrace& stack,
-                                   std::string_view cookie_line) override;
-  void filter_store_read(browser::Page& page, const script::ExecContext& ctx,
-                         const webplat::StackTrace& stack,
-                         std::vector<script::StoreCookie>& cookies) override;
-  bool allow_store_write(browser::Page& page, const script::ExecContext& ctx,
-                         const webplat::StackTrace& stack,
-                         std::string_view cookie_name, std::string_view value,
-                         bool is_delete) override;
+  void filter_cookie_read(browser::Page& page, const script::ExecContext& ctx,
+                          const webplat::StackTrace& stack,
+                          cookies::CookieSource api,
+                          std::vector<browser::CookiePair>& cookies) override;
+  bool allow_cookie_write(browser::Page& page, const script::ExecContext& ctx,
+                          const webplat::StackTrace& stack,
+                          cookies::CookieSource api,
+                          std::string_view name) override;
   void on_script_cookie_change(browser::Page& page,
                                const script::ExecContext& ctx,
                                const webplat::StackTrace& stack,
@@ -116,7 +110,7 @@ class CookieGuard final : public browser::Extension {
   /// May `actor_domain` access a cookie created by `creator_domain` on
   /// `site`? Implements the full policy lattice above.
   bool may_access(const std::string& actor_domain,
-                  const std::string& creator_domain,
+                  std::string_view creator_domain,
                   const std::string& site) const;
 
   /// Resolves the acting domain from the stack (with optional CNAME

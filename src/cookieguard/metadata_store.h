@@ -2,8 +2,9 @@
 //
 // Mirrors background.js in the paper's Figure 4: it records the creator of
 // every first-party cookie (from script writes relayed by the content
-// script, and from HTTP Set-Cookie headers seen via webRequest), and serves
-// snapshot copies for read-time filtering.
+// script, and from HTTP Set-Cookie headers seen via webRequest). Read-time
+// filtering looks creators up in place: nothing changes the dataset while
+// a read is filtered, so that equals filtering against a snapshot copy.
 #pragma once
 
 #include <map>
@@ -24,8 +25,9 @@ class MetadataStore {
                             std::string(creator_domain));
   }
 
-  /// Creator of `cookie_name`, if tracked.
-  std::optional<std::string> creator(std::string_view cookie_name) const {
+  /// Creator of `cookie_name`, if tracked; valid until the next record or
+  /// erase.
+  std::optional<std::string_view> creator(std::string_view cookie_name) const {
     const auto it = store_.find(cookie_name);
     if (it == store_.end()) return std::nullopt;
     return it->second;

@@ -352,6 +352,9 @@ void rule_d4(const Sink& sink, const std::vector<Token>& code) {
   // Namespace-scope statement accumulator for the plain-global check.
   std::size_t stmt_begin = 0;
   bool stmt_saw_brace = false;
+  // Open '(' count: a brace inside parentheses (a `= {}` default argument,
+  // a braced argument) belongs to the statement around it.
+  int parens = 0;
 
   auto check_global_stmt = [&](std::size_t end) {
     // [stmt_begin, end) is a flat namespace-scope statement ending in ';'.
@@ -399,7 +402,7 @@ void rule_d4(const Sink& sink, const std::vector<Token>& code) {
       if (kind == ScopeKind::kNamespace) {
         stmt_begin = i + 1;  // fresh statement run inside the namespace
         stmt_saw_brace = false;
-      } else if (at_namespace_scope) {
+      } else if (at_namespace_scope && parens == 0) {
         stmt_saw_brace = true;
       }
       continue;
@@ -407,7 +410,7 @@ void rule_d4(const Sink& sink, const std::vector<Token>& code) {
       if (!scopes.empty()) scopes.pop_back();
       // A '}' closing a class/function at namespace scope usually ends a
       // statement (possibly followed by ';' which restarts cleanly).
-      if (all_namespace(scopes)) {
+      if (all_namespace(scopes) && parens == 0) {
         stmt_begin = i + 1;
         stmt_saw_brace = false;
       }
@@ -420,7 +423,10 @@ void rule_d4(const Sink& sink, const std::vector<Token>& code) {
       }
       pending_set = false;
       continue;
+    } else if (t == "(") {
+      ++parens;
     } else if (t == ")") {
+      if (parens > 0) --parens;
       // `)` before `{` is a function/control body, never a class.
       pending = ScopeKind::kBlock;
       pending_set = true;

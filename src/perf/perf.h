@@ -37,8 +37,6 @@ struct Comparison {
 /// hardware threads); results are identical at any thread count.
 Comparison compare_page_load(
     const corpus::Corpus& corpus, int site_count, policy::PolicyKind policy,
-    const cookieguard::CookieGuardConfig& config =
-        cookieguard::CookieGuardConfig(),
-    int threads = 1);
+    const cookieguard::CookieGuardConfig& config = {}, int threads = 1);
 
 }  // namespace cg::perf

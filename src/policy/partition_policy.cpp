@@ -8,12 +8,16 @@ constexpr std::string_view kThirdPartyPhasedOut =
 constexpr std::string_view kUnpartitionedThirdParty =
     "unpartitioned third-party cookie blocked";
 
-cookies::PartitionKey fpi_key(const std::string& first_party_domain) {
-  return "fpi:" + first_party_domain;
+cookies::PartitionKey fpi_key(std::string_view first_party_domain) {
+  cookies::PartitionKey key = "fpi:";
+  key += first_party_domain;
+  return key;
 }
 
-cookies::PartitionKey chips_key(const std::string& top_level_site) {
-  return "chips:" + top_level_site;
+cookies::PartitionKey chips_key(std::string_view top_level_site) {
+  cookies::PartitionKey key = "chips:";
+  key += top_level_site;
+  return key;
 }
 
 /// Status-quo single jar: everything first-party lands in the default
@@ -31,19 +35,20 @@ class SingleJarPolicy : public PartitionPolicy {
       return StoreDecision::ok(frame_partition_key(ctx.frame_origin));
     }
     if (ctx.cross_site) {
-      return StoreDecision::blocked(std::string(kThirdPartyPhasedOut));
+      return StoreDecision::blocked(kThirdPartyPhasedOut);
     }
     return StoreDecision::ok(cookies::PartitionKey());
   }
 
   ReadDecision key_for_read(const CookieAccessContext& ctx) const override {
     if (!ctx.frame_origin.empty()) {
-      return ReadDecision::ok({frame_partition_key(ctx.frame_origin)});
+      return ReadDecision::ok(
+          PartitionKeys(frame_partition_key(ctx.frame_origin)));
     }
     if (ctx.cross_site) {
-      return ReadDecision::blocked(std::string(kThirdPartyPhasedOut));
+      return ReadDecision::blocked(kThirdPartyPhasedOut);
     }
-    return ReadDecision::ok({cookies::PartitionKey()});
+    return ReadDecision::ok(PartitionKeys(cookies::PartitionKey()));
   }
 
   bool visible(const cookies::Cookie&,
@@ -73,7 +78,7 @@ class FirstPartyIsolation final : public PartitionPolicy {
 
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
     if (ctx.top_level_site.empty()) {
-      return StoreDecision::blocked(std::string(kFpiMissingAttributeError),
+      return StoreDecision::blocked(kFpiMissingAttributeError,
                                     /*defense_block_in=*/true);
     }
     return StoreDecision::ok(fpi_key(ctx.top_level_site));
@@ -81,10 +86,10 @@ class FirstPartyIsolation final : public PartitionPolicy {
 
   ReadDecision key_for_read(const CookieAccessContext& ctx) const override {
     if (ctx.top_level_site.empty()) {
-      return ReadDecision::blocked(std::string(kFpiMissingAttributeError),
+      return ReadDecision::blocked(kFpiMissingAttributeError,
                                    /*defense_block_in=*/true);
     }
-    return ReadDecision::ok({fpi_key(ctx.top_level_site)});
+    return ReadDecision::ok(PartitionKeys(fpi_key(ctx.top_level_site)));
   }
 
   bool visible(const cookies::Cookie&,
@@ -109,7 +114,7 @@ class Chips final : public PartitionPolicy {
       // Cross-site HTTP cookies are already dead in the baseline browser;
       // only script stores in embedded contexts are newly blocked by CHIPS.
       return StoreDecision::blocked(
-          std::string(kUnpartitionedThirdParty),
+          kUnpartitionedThirdParty,
           /*defense_block_in=*/ctx.api == cookies::JarApi::kScript);
     }
     return StoreDecision::ok(cookies::PartitionKey());
@@ -117,12 +122,12 @@ class Chips final : public PartitionPolicy {
 
   ReadDecision key_for_read(const CookieAccessContext& ctx) const override {
     if (ctx.cross_site) {
-      return ReadDecision::ok({chips_key(ctx.top_level_site)});
+      return ReadDecision::ok(PartitionKeys(chips_key(ctx.top_level_site)));
     }
     // Top-level contexts see their unpartitioned cookies plus the cookies
     // partitioned to themselves.
-    return ReadDecision::ok(
-        {cookies::PartitionKey(), chips_key(ctx.top_level_site)});
+    return ReadDecision::ok(PartitionKeys(cookies::PartitionKey(),
+                                          chips_key(ctx.top_level_site)));
   }
 
   bool visible(const cookies::Cookie& cookie,
@@ -161,11 +166,6 @@ cookies::PartitionKey frame_partition_key(std::string_view frame_origin) {
   std::string key = "frame:";
   key += frame_origin;
   return key;
-}
-
-std::string script_origin_from_stack(const webplat::StackTrace& stack) {
-  const webplat::StackFrame* frame = stack.last_external_frame();
-  return frame == nullptr ? std::string() : frame->script_site;
 }
 
 const PartitionPolicy& engine_for(PolicyKind kind) {

@@ -29,16 +29,16 @@
 // statics; all state lives in the per-browser jar store).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "cookies/cookie.h"
 #include "cookies/cookie_jar.h"
 #include "cookies/partitioned_store.h"
 #include "net/url.h"
-#include "webplat/stack_trace.h"
 
 namespace cg::policy {
 
@@ -56,24 +56,23 @@ inline constexpr std::string_view kFpiMissingAttributeError =
 
 /// Everything a policy engine may key on for one cookie access. Built by
 /// the browser at each API boundary crossing (document.cookie, cookieStore,
-/// HTTP attach / Set-Cookie, cross-origin subframe script APIs).
+/// HTTP attach / Set-Cookie, cross-origin subframe script APIs) and valid
+/// for that crossing only: it refers to the browser's strings and URL
+/// instead of copying them.
 struct CookieAccessContext {
   /// eTLD+1 of the top-level document — Firefox's firstPartyDomain, CHIPS's
   /// partition key. Empty models an access with no first-party context
   /// (FPI's error path).
-  std::string top_level_site;
+  std::string_view top_level_site{};
   /// URL the access is scoped to: the frame document for script APIs, the
   /// request URL for HTTP.
-  net::Url subject_url;
+  const net::Url& subject_url;
   /// True when subject_url is cross-site to the top-level document.
   bool cross_site = false;
-  /// eTLD+1 of the acting script (stack-trace attribution); empty for
-  /// HTTP, inline scripts, or browser-internal access.
-  std::string script_origin;
   cookies::JarApi api = cookies::JarApi::kScript;
   /// Origin of the cross-origin subframe the access runs in; empty for
   /// main-frame (and same-origin frame) script access and for HTTP.
-  std::string frame_origin;
+  std::string_view frame_origin{};
   /// The parsed `Partitioned` attribute (stores only).
   bool partitioned_attribute = false;
 };
@@ -83,18 +82,13 @@ struct CookieAccessContext {
 /// is destroyed.
 cookies::PartitionKey frame_partition_key(std::string_view frame_origin);
 
-/// Derives the acting script origin for a context from the capture-time
-/// stack, the same attribution the paper's extensions use (§6.2): the site
-/// carried by the last external frame.
-std::string script_origin_from_stack(const webplat::StackTrace& stack);
-
 /// Outcome of a store-key decision.
 struct StoreDecision {
   bool allowed = false;
   cookies::PartitionKey key;
   /// Why the store was refused (kFpiMissingAttributeError, "unpartitioned
-  /// third-party cookie blocked", ...). Empty when allowed.
-  std::string error;
+  /// third-party cookie blocked", ...): a constant. Empty when allowed.
+  std::string_view error;
   /// True when the refusal is caused by the defense under test (tallied as
   /// a blocked manipulation); false for refusals every engine shares — the
   /// post-third-party-cookie baseline blocks cross-site HTTP cookies under
@@ -108,13 +102,36 @@ struct StoreDecision {
     d.key = std::move(key_in);
     return d;
   }
-  static StoreDecision blocked(std::string error_in,
+  static StoreDecision blocked(std::string_view error_in,
                                bool defense_block_in = false) {
     StoreDecision d;
-    d.error = std::move(error_in);
+    d.error = error_in;
     d.defense_block = defense_block_in;
     return d;
   }
+};
+
+/// The partitions one retrieval consults, in order, held inline: no engine
+/// names more than two (CHIPS reads the classic jar and the top-level
+/// site's partition).
+class PartitionKeys {
+ public:
+  PartitionKeys() = default;
+  explicit PartitionKeys(cookies::PartitionKey first) : size_(1) {
+    keys_[0] = std::move(first);
+  }
+  PartitionKeys(cookies::PartitionKey first, cookies::PartitionKey second)
+      : size_(2) {
+    keys_[0] = std::move(first);
+    keys_[1] = std::move(second);
+  }
+
+  const cookies::PartitionKey* begin() const { return keys_.data(); }
+  const cookies::PartitionKey* end() const { return keys_.data() + size_; }
+
+ private:
+  std::array<cookies::PartitionKey, 2> keys_;
+  std::size_t size_ = 0;
 };
 
 /// Outcome of a read-key decision: the partitions a retrieval consults, in
@@ -122,21 +139,22 @@ struct StoreDecision {
 /// (e.g. cross-site under FPI in a post-third-party-cookie browser).
 struct ReadDecision {
   bool allowed = false;
-  std::vector<cookies::PartitionKey> keys;
-  std::string error;
+  PartitionKeys keys;
+  /// Why the read was refused: a constant, empty when allowed.
+  std::string_view error;
   /// See StoreDecision::defense_block.
   bool defense_block = false;
 
-  static ReadDecision ok(std::vector<cookies::PartitionKey> keys_in) {
+  static ReadDecision ok(PartitionKeys keys_in) {
     ReadDecision d;
     d.allowed = true;
     d.keys = std::move(keys_in);
     return d;
   }
-  static ReadDecision blocked(std::string error_in,
+  static ReadDecision blocked(std::string_view error_in,
                               bool defense_block_in = false) {
     ReadDecision d;
-    d.error = std::move(error_in);
+    d.error = error_in;
     d.defense_block = defense_block_in;
     return d;
   }

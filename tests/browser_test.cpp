@@ -2,6 +2,10 @@
 // script inclusion chains, stack attribution, network behaviour, timings.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "browser/page.h"
 #include "script/interpreter.h"
 #include "test_support.h"
@@ -560,6 +564,138 @@ TEST(PageTest, CookieStoreGetResolvesByName) {
 // Appended: navigation failure paths (crawl fault layer substrate).
 namespace cg::browser {
 namespace {
+
+// ---- the cookie-API boundary ---------------------------------------------
+
+// Logs every cookie-boundary hook call as "hook:api[:detail]"; vetoes
+// writes of the cookie named `veto`, and hides the cookie named `hide`.
+struct BoundaryWatch final : Extension {
+  std::string name() const override { return "boundary-watch"; }
+  void filter_cookie_read(Page&, const script::ExecContext&,
+                          const webplat::StackTrace&,
+                          cookies::CookieSource api,
+                          std::vector<CookiePair>& cookies) override {
+    calls.push_back("filter:" + std::string(cookies::to_string(api)));
+    std::erase_if(cookies,
+                  [&](const CookiePair& c) { return c.name == hide; });
+  }
+  void on_cookie_read(Page&, const script::ExecContext&,
+                      const webplat::StackTrace&, cookies::CookieSource api,
+                      std::size_t count) override {
+    calls.push_back("read:" + std::string(cookies::to_string(api)) + ":" +
+                    std::to_string(count));
+  }
+  bool allow_cookie_write(Page&, const script::ExecContext&,
+                          const webplat::StackTrace&,
+                          cookies::CookieSource api,
+                          std::string_view name) override {
+    calls.push_back("write:" + std::string(cookies::to_string(api)) + ":" +
+                    std::string(name));
+    return name != veto;
+  }
+  void on_script_cookie_change(Page&, const script::ExecContext&,
+                               const webplat::StackTrace&,
+                               const cookies::CookieChange&,
+                               cookies::CookieSource) override {
+    ++changes;
+  }
+  std::string hide;
+  std::string veto;
+  std::vector<std::string> calls;
+  int changes = 0;
+};
+
+TEST(CookieBoundaryTest, EachReadCrossesOneFilterAndOneObserver) {
+  TestSite site;
+  BoundaryWatch watch;
+  watch.hide = "b";
+  site.browser().add_extension(&watch);
+  auto page = site.open();
+  const auto ctx = context_for_url("https://cdn.tracker.com/t.js");
+  std::string document_value;
+  std::size_t all_count = 99;
+  std::optional<script::StoreCookie> got_a;
+  std::optional<script::StoreCookie> got_b = script::StoreCookie{"", ""};
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(ctx, "a=1; Path=/");
+    services.document_cookie_write(ctx, "b=2; Path=/");
+  });
+  watch.calls.clear();
+
+  page->run_as(ctx, [&](script::PageServices& services) {
+    document_value = services.document_cookie_read(ctx);
+  });
+  EXPECT_EQ(document_value, "a=1");
+  EXPECT_EQ(watch.calls,
+            (std::vector<std::string>{"filter:document.cookie",
+                                      "read:document.cookie:1"}));
+
+  watch.calls.clear();
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.cookie_store_get_all(
+        ctx, [&](std::vector<script::StoreCookie> c) { all_count = c.size(); });
+  });
+  page->loop().run_until_idle();
+  EXPECT_EQ(all_count, 1u);
+  EXPECT_EQ(watch.calls,
+            (std::vector<std::string>{"filter:cookieStore",
+                                      "read:cookieStore:1"}));
+
+  watch.calls.clear();
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.cookie_store_get(
+        ctx, "a", [&](std::optional<script::StoreCookie> c) { got_a = c; });
+    services.cookie_store_get(
+        ctx, "b", [&](std::optional<script::StoreCookie> c) { got_b = c; });
+  });
+  page->loop().run_until_idle();
+  ASSERT_TRUE(got_a.has_value());
+  EXPECT_EQ(got_a->value, "1");
+  EXPECT_FALSE(got_b.has_value());  // the filter hid it
+  EXPECT_EQ(watch.calls,
+            (std::vector<std::string>{"filter:cookieStore", "read:cookieStore:1",
+                                      "filter:cookieStore",
+                                      "read:cookieStore:0"}));
+}
+
+TEST(CookieBoundaryTest, OneWriteVetoBlocksEveryWriteApi) {
+  TestSite site;
+  BoundaryWatch watch;
+  watch.veto = "sid";
+  site.browser().add_extension(&watch);
+  auto page = site.open();
+  const auto ctx = context_for_url("https://cdn.tracker.com/t.js");
+  // Seed the cookie past the veto, then veto every way of changing it.
+  watch.veto.clear();
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(ctx, "sid=orig; Path=/");
+  });
+  watch.veto = "sid";
+  watch.calls.clear();
+  watch.changes = 0;
+
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(ctx, " sid = new; Path=/");
+    services.cookie_store_set(ctx, "sid", "new");
+    services.cookie_store_delete(ctx, "sid");
+  });
+  page->loop().run_until_idle();
+  EXPECT_EQ(watch.calls,
+            (std::vector<std::string>{"write:document.cookie:sid",
+                                      "write:cookieStore:sid",
+                                      "write:cookieStore:sid"}));
+  EXPECT_EQ(watch.changes, 0);
+  EXPECT_EQ(site.browser().jar().find("sid", "www.shop.example", "/")->value,
+            "orig");
+
+  // Other names pass the same veto on every API.
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(ctx, "other=1; Path=/");
+    services.cookie_store_set(ctx, "other2", "2");
+  });
+  page->loop().run_until_idle();
+  EXPECT_EQ(watch.changes, 2);
+}
 
 TEST(NavigationTest, DnsFailureYieldsNoPage) {
   testsupport::TestSite site;

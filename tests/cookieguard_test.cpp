@@ -144,6 +144,32 @@ TEST_F(CookieGuardTest, InlineScriptsDeniedByDefault) {
   EXPECT_GE(guard_->stats().inline_denied, 2u);
 }
 
+TEST_F(CookieGuardTest, InlineDenialHidesTheSameCountOnBothApis) {
+  // An inline read is denied whole on either API, and both count the
+  // cookies the denial hid.
+  auto page = open_with({});  // the jar holds _fbp and sess
+  const auto ctx = inline_context();
+  std::string jar = "unset";
+  page->run_as(ctx, [&](script::PageServices& services) {
+    jar = services.document_cookie_read(ctx);
+  });
+  const auto hidden_by_document_cookie = guard_->stats().cookies_hidden;
+
+  std::vector<script::StoreCookie> seen = {{"unset", ""}};
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.cookie_store_get_all(
+        ctx, [&](std::vector<script::StoreCookie> cookies) { seen = cookies; });
+  });
+  page->loop().run_until_idle();
+
+  EXPECT_EQ(jar, "");
+  EXPECT_TRUE(seen.empty());
+  EXPECT_EQ(hidden_by_document_cookie, 2u);
+  EXPECT_EQ(guard_->stats().cookies_hidden, 2 * hidden_by_document_cookie);
+  EXPECT_EQ(guard_->stats().inline_denied, 2u);
+  EXPECT_EQ(guard_->stats().reads_filtered, 0u);
+}
+
 TEST_F(CookieGuardTest, InlineDenialCanBeDisabled) {
   CookieGuardConfig config;
   config.deny_inline_scripts = false;

@@ -83,15 +83,15 @@ TEST(CrawlerTest, VisitClocksAreStaggered) {
 }
 
 TEST(CrawlerTest, ExtraExtensionInstalledBeforeRecorder) {
-  // An extension that blocks every write must leave the recorder blind to
-  // script cookie changes (they never happen).
+  // An extension that blocks every document.cookie write must leave the
+  // recorder blind to those script cookie changes (they never happen).
   struct Blocker final : browser::Extension {
     std::string name() const override { return "blocker"; }
-    bool allow_document_cookie_write(browser::Page&,
-                                     const script::ExecContext&,
-                                     const webplat::StackTrace&,
-                                     std::string_view) override {
-      return false;
+    bool allow_cookie_write(browser::Page&, const script::ExecContext&,
+                            const webplat::StackTrace&,
+                            cookies::CookieSource api,
+                            std::string_view) override {
+      return api != cookies::CookieSource::kDocumentCookie;
     }
   } blocker;
   corpus::Corpus corpus(small_params(3));

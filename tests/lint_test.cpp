@@ -322,6 +322,20 @@ TEST(RuleD4Test, FlagsMutableNamespaceScopeGlobals) {
   EXPECT_FALSE(has_violation(report, "D4", 4));
 }
 
+TEST(RuleD4Test, BracedDefaultArgumentIsNotAGlobal) {
+  // `= {}` before another parameter used to end the statement scan at the
+  // brace, so `, int threads = 1);` read as an assigned global.
+  const auto report = run("src/perf/perf.h",
+                          "namespace cg {\n"
+                          "Comparison compare(const Config& config = {},\n"
+                          "                   int threads = 1);\n"
+                          "int after = 0;\n"
+                          "}\n");
+  EXPECT_FALSE(has_violation(report, "D4", 2));
+  EXPECT_FALSE(has_violation(report, "D4", 3));
+  EXPECT_TRUE(has_violation(report, "D4", 4));
+}
+
 TEST(RuleD4Test, FlagsThreadLocalDefinitionNotExternDeclaration) {
   const auto definition = run("src/obs/t.cpp",
                               "thread_local LocalObs* tls_obs = nullptr;\n");

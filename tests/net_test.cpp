@@ -211,8 +211,9 @@ TEST(PslTest, MixedCaseAnswersEqualLowercaseAnswers) {
       EXPECT_EQ(domain_matches(host, domain),
                 domain_matches(lower(host), lower(domain)))
           << host << " vs " << domain;
-      EXPECT_EQ(domain_matches(host, "." + domain),
-                domain_matches(lower(host), "." + lower(domain)))
+      const std::string dotted = "." + domain;
+      EXPECT_EQ(domain_matches(host, dotted),
+                domain_matches(lower(host), lower(dotted)))
           << host << " vs ." << domain;
     }
   }

@@ -30,15 +30,31 @@ using policy::PolicyKind;
 using testsupport::TestSite;
 using testsupport::context_for_url;
 
-CookieAccessContext ctx_for(std::string top_level_site, const char* subject,
-                            bool cross_site,
-                            cookies::JarApi api = cookies::JarApi::kScript) {
+// An access context together with the subject URL it refers to.
+struct Access {
+  Access(std::string_view top_level_site, const char* subject_spec,
+         bool cross_site, cookies::JarApi api)
+      : subject(net::Url::must_parse(subject_spec)),
+        ctx{.top_level_site = top_level_site,
+            .subject_url = subject,
+            .cross_site = cross_site,
+            .api = api} {}
+  Access(const Access&) = delete;
+  Access& operator=(const Access&) = delete;
+  operator const CookieAccessContext&() const { return ctx; }
+
+  net::Url subject;
   CookieAccessContext ctx;
-  ctx.top_level_site = std::move(top_level_site);
-  ctx.subject_url = net::Url::must_parse(subject);
-  ctx.cross_site = cross_site;
-  ctx.api = api;
-  return ctx;
+};
+
+Access ctx_for(std::string_view top_level_site, const char* subject,
+               bool cross_site,
+               cookies::JarApi api = cookies::JarApi::kScript) {
+  return Access(top_level_site, subject, cross_site, api);
+}
+
+std::vector<cookies::PartitionKey> keys_of(const policy::ReadDecision& read) {
+  return {read.keys.begin(), read.keys.end()};
 }
 
 // ------------------------------------------------------ engine decisions --
@@ -91,13 +107,13 @@ TEST(PolicyEngineTest, SingleJarBlocksCrossSiteWithoutDefenseCredit) {
     // cross-site refusal (SOP, not the third-party rule, scopes it).
     auto frame = ctx_for("shop.example", "https://ads.tracker.com/frame.html",
                          true);
-    frame.frame_origin = "https://ads.tracker.com";
+    frame.ctx.frame_origin = "https://ads.tracker.com";
     const auto frame_store = engine.key_for_store(frame);
     ASSERT_TRUE(frame_store.allowed);
     EXPECT_EQ(frame_store.key, "frame:https://ads.tracker.com");
     const auto frame_read = engine.key_for_read(frame);
     ASSERT_TRUE(frame_read.allowed);
-    EXPECT_EQ(frame_read.keys, std::vector<cookies::PartitionKey>{
+    EXPECT_EQ(keys_of(frame_read), std::vector<cookies::PartitionKey>{
                                    "frame:https://ads.tracker.com"});
   }
 }
@@ -124,14 +140,14 @@ TEST(PolicyEngineTest, FpiKeysEveryAccessByFirstPartyDomain) {
   const auto read = fpi.key_for_read(
       ctx_for("shop.example", "https://www.shop.example/", false));
   ASSERT_TRUE(read.allowed);
-  EXPECT_EQ(read.keys, std::vector<cookies::PartitionKey>{"fpi:shop.example"});
+  EXPECT_EQ(keys_of(read), std::vector<cookies::PartitionKey>{"fpi:shop.example"});
 
   // Frame contexts key by first party too; the frame origin plays no part.
   auto frame = ctx_for("shop.example", "https://ads.tracker.com/frame.html",
                        true);
-  frame.frame_origin = "https://ads.tracker.com";
+  frame.ctx.frame_origin = "https://ads.tracker.com";
   EXPECT_EQ(fpi.key_for_store(frame).key, "fpi:shop.example");
-  EXPECT_EQ(fpi.key_for_read(frame).keys,
+  EXPECT_EQ(keys_of(fpi.key_for_read(frame)),
             std::vector<cookies::PartitionKey>{"fpi:shop.example"});
 }
 
@@ -165,14 +181,14 @@ TEST(PolicyEngineTest, ChipsPartitionsByTopLevelSite) {
 
   // A Partitioned cookie is keyed by the top-level site, even same-site.
   auto ctx = ctx_for("shop.example", "https://www.shop.example/", false);
-  ctx.partitioned_attribute = true;
+  ctx.ctx.partitioned_attribute = true;
   const auto partitioned = chips.key_for_store(ctx);
   ASSERT_TRUE(partitioned.allowed);
   EXPECT_EQ(partitioned.key, "chips:shop.example");
 
   // Cross-site, Partitioned is the only way in...
   auto embedded = ctx_for("shop.example", "https://ads.tracker.com/f", true);
-  embedded.partitioned_attribute = true;
+  embedded.ctx.partitioned_attribute = true;
   const auto embedded_store = chips.key_for_store(embedded);
   ASSERT_TRUE(embedded_store.allowed);
   EXPECT_EQ(embedded_store.key, "chips:shop.example");
@@ -199,14 +215,14 @@ TEST(PolicyEngineTest, ChipsReadScopesAndVisibility) {
   const auto top = chips.key_for_read(
       ctx_for("shop.example", "https://www.shop.example/", false));
   ASSERT_TRUE(top.allowed);
-  EXPECT_EQ(top.keys, (std::vector<cookies::PartitionKey>{
+  EXPECT_EQ(keys_of(top), (std::vector<cookies::PartitionKey>{
                           cookies::PartitionKey(), "chips:shop.example"}));
 
   // Cross-site contexts see only the embedding site's partition.
   const auto embedded = chips.key_for_read(
       ctx_for("shop.example", "https://ads.tracker.com/f", true));
   ASSERT_TRUE(embedded.allowed);
-  EXPECT_EQ(embedded.keys,
+  EXPECT_EQ(keys_of(embedded),
             std::vector<cookies::PartitionKey>{"chips:shop.example"});
 
   // Belt and braces: even inside a readable partition, an unpartitioned

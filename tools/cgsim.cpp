@@ -11,10 +11,8 @@
 // (src/policy/): none is the status-quo jar and byte-identical to omitting
 // the flag; cookieguard = none's jar plus a CookieGuard on every crawl
 // worker; fpi is Firefox First-Party Isolation; chips is RFC6265bis
-// partitioned cookies. --guard is an alias for --policy cookieguard (it
-// cannot be combined with --policy fpi or chips). The active policy is
-// recorded in the CGAR footer, hard provenance like the corpus and fault
-// seeds.
+// partitioned cookies. The active policy is recorded in the CGAR footer,
+// hard provenance like the corpus and fault seeds.
 //
 // pack runs the measurement crawl once and streams it into a CGAR archive
 // (src/store/) — crawl once, analyze many times. query replays an archive
@@ -294,8 +292,7 @@ std::function<void(const crawler::CrawlCheckpoint&)> checkpoint_writer(
 
 /// The crawl set-up crawl and pack share: --threads, --no-faults, the
 /// partitioning policy, and a checkpoint to --checkpoint FILE every
-/// --checkpoint-every N sites. --guard is an alias for --policy cookieguard
-/// and exits 2 beside another defense. Under cookieguard every crawl worker
+/// --checkpoint-every N sites. Under --policy cookieguard every crawl worker
 /// runs a CookieGuard held in `guards`, which must outlive the crawl.
 crawler::CrawlOptions crawl_options(
     const cli::Flags& flags, std::optional<cookieguard::Deployment>* guards) {
@@ -303,15 +300,6 @@ crawler::CrawlOptions crawl_options(
   options.threads = flags.get_int("threads", 1, 0);
   if (flags.has("no-faults")) options.fault_plan.reset();
   options.policy = cli::policy_kind(flags);
-  if (flags.has("guard")) {
-    if (options.policy != policy::PolicyKind::kNone &&
-        options.policy != policy::PolicyKind::kCookieGuard) {
-      flags.fail("--guard means --policy cookieguard; it cannot be combined "
-                 "with --policy " +
-                 std::string(policy::to_string(options.policy)));
-    }
-    options.policy = policy::PolicyKind::kCookieGuard;
-  }
   if (options.policy == policy::PolicyKind::kCookieGuard) {
     guards->emplace(options.threads);
     options.extension_factory = (*guards)->factory();
@@ -842,14 +830,14 @@ int main(int argc, char** argv) {
                    "pairs-csv", "domains-csv", "health", "checkpoint",
                    "checkpoint-every", "resume", "trace", "trace-detail",
                    "metrics", "runtime-metrics"},
-        .switches = {"guard", "no-faults", "stream", "totals-only",
+        .switches = {"no-faults", "stream", "totals-only",
                      "trace-wall-clock"}},
        cmd_crawl},
       {"pack",
        {.values = {"sites", "threads", "policy", "wave", "evo-seed", "base",
                    "out", "checkpoint", "checkpoint-every", "resume",
                    "metrics"},
-        .switches = {"guard", "no-faults", "stream", "scrub"}},
+        .switches = {"no-faults", "stream", "scrub"}},
        cmd_pack},
       {"query",
        {.values = {"archive", "wave", "site", "json", "pairs-csv",

@@ -1,24 +1,16 @@
-// Reproduces Table 4: page-load performance with and without CookieGuard.
-//
-// Two parts:
-//   1. timed loops over the real interception primitives (stack
-//     attribution, metadata lookup, read filtering, message-bus round
-//     trip) — the physical cost CookieGuard adds per intercepted call,
-//     printed as wall-clock ns per operation on this host;
-//   2. the paired page-load simulation over the corpus, reporting the same
-//     mean/median rows as the paper:
-//        DOM Content Loaded  1659/946 ms  ->  1896/1020 ms
-//        DOM Interactive     1464/842 ms  ->  1702/911  ms
-//        Load Event          3197/2008 ms ->  3635/2136 ms   (~ +0.3 s mean)
+// The physical cost behind Table 4: timed loops over the real interception
+// primitives (stack attribution, metadata lookup, read filtering,
+// message-bus round trip) — what CookieGuard adds per intercepted call,
+// printed as wall-clock ns per operation on this host. Table 4's page-load
+// rows are read from the fault-free crawls in bench_evaluation.
 #include <chrono>
 #include <cstddef>
+#include <cstdio>
+#include <string>
 
 #include "browser/page.h"
 #include "cookieguard/cookieguard.h"
 #include "ext/attribution.h"
-#include "perf/perf.h"
-
-#include "bench_util.h"
 
 namespace {
 
@@ -128,7 +120,6 @@ void time_primitives() {
   time_loop("MetadataLookup", [&] {
     return store.creator("cookie_17")->size();
   });
-  time_loop("MetadataSnapshot", [&] { return store.snapshot().size(); });
   ext::MessageBus bus;
   bus.register_handler("lookup",
                        [](const std::string&) { return std::string("x"); });
@@ -140,44 +131,10 @@ void time_primitives() {
   time_guarded_read_filter();
 }
 
-void print_metric(const char* name, double paper_mean_n, double paper_med_n,
-                  double paper_mean_g, double paper_med_g,
-                  const analysis::TimingSummary& normal,
-                  const analysis::TimingSummary& guarded) {
-  std::printf("  %-20s | %7.0f / %-7.0f (paper %4.0f/%-4.0f) | %7.0f / %-7.0f"
-              " (paper %4.0f/%-4.0f)\n",
-              name, normal.mean_ms, double(normal.median_ms), paper_mean_n,
-              paper_med_n, guarded.mean_ms, double(guarded.median_ms),
-              paper_mean_g, paper_med_g);
-}
-
 }  // namespace
 
 int main() {
   std::printf("-- interception primitive microbenchmarks --\n");
   time_primitives();
-
-  corpus::Corpus corpus(bench::default_params());
-  bench::print_header("Table 4 — page-load performance (mean / median ms)",
-                      corpus);
-
-  const auto comparison =
-      perf::compare_page_load(corpus, corpus.size(),
-                              policy::PolicyKind::kCookieGuard);
-
-  std::printf("\n  %-20s | %-38s | %s\n", "metric", "Normal",
-              "CookieGuard");
-  std::printf("  %s\n", std::string(100, '-').c_str());
-  print_metric("DOM Content Loaded", 1659, 946, 1896, 1020,
-               comparison.normal.dom_content_loaded,
-               comparison.guarded.dom_content_loaded);
-  print_metric("DOM Interactive", 1464, 842, 1702, 911,
-               comparison.normal.dom_interactive,
-               comparison.guarded.dom_interactive);
-  print_metric("Load Event", 3197, 2008, 3635, 2136,
-               comparison.normal.load_event, comparison.guarded.load_event);
-  std::printf("\n  mean overhead on load event: %.0f ms (paper: ~300 ms "
-              "average overhead)\n\n",
-              comparison.mean_overhead_ms);
   return 0;
 }

@@ -31,6 +31,7 @@
 #include "cookieguard/deployment.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "policy/partition_policy.h"
 #include "runtime/thread_pool.h"
@@ -61,8 +62,8 @@ inline int crawl_threads(const cli::Flags& flags) {
   return n > 0 ? n : runtime::ThreadPool::hardware_threads();
 }
 
-/// Partitioning engine for the defense bake-off: `--policy NAME` wins, then
-/// CG_POLICY=<name>, else none. Accepts the cgsim grammar
+/// Partitioning engine for the measurement crawl: `--policy NAME` wins,
+/// then CG_POLICY=<name>, else none. Accepts the cgsim grammar
 /// (none/cookieguard/fpi/chips).
 inline policy::PolicyKind crawl_policy(const cli::Flags& flags) {
   return cli::policy_kind(flags, "CG_POLICY");
@@ -155,27 +156,35 @@ inline bool analyzer_from_archive_env(const corpus::Corpus& corpus,
 }
 
 /// Runs the measurement crawl under `policy` into `analyzer`; kCookieGuard
-/// deploys CookieGuard on every crawl worker. A non-null `trace` recorder
-/// receives the crawl's virtual-time trace. With CG_ARCHIVE set, the plain
-/// configuration (policy none, faults on, no trace) replays the archive
-/// instead of crawling; other configurations — fault-free comparison crawls
-/// or policies the archive does not represent — always run live.
-inline void run_measurement_crawl(
+/// deploys CookieGuard on every crawl worker, and the return value is what
+/// that deployment enforced (all zero under any other policy). Non-null
+/// `trace` and `metrics` receive the crawl's virtual-time trace and metrics
+/// registry; a non-null `blocker` is one extension shared by every browser,
+/// so that crawl runs on one thread. With CG_ARCHIVE set, the plain
+/// configuration (policy none, faults on, no trace, metrics or blocker)
+/// replays the archive instead of crawling; other configurations —
+/// fault-free comparison crawls or policies the archive does not represent
+/// — always run live.
+inline cookieguard::CookieGuard::Stats run_measurement_crawl(
     const corpus::Corpus& corpus, analysis::Analyzer& analyzer,
     bool with_faults = true, int threads = 1,
     obs::TraceRecorder* trace = nullptr,
-    policy::PolicyKind policy = policy::PolicyKind::kNone) {
-  if (with_faults && trace == nullptr &&
-      policy == policy::PolicyKind::kNone &&
+    policy::PolicyKind policy = policy::PolicyKind::kNone,
+    obs::MetricsRegistry* metrics = nullptr,
+    browser::Extension* blocker = nullptr) {
+  if (with_faults && trace == nullptr && metrics == nullptr &&
+      blocker == nullptr && policy == policy::PolicyKind::kNone &&
       analyzer_from_archive_env(corpus, analyzer)) {
-    return;
+    return {};
   }
   crawler::Crawler crawler(corpus);
   crawler::CrawlOptions options;
   if (!with_faults) options.fault_plan.reset();
   options.threads = threads;
   options.trace = trace;
+  options.metrics = metrics;
   options.policy = policy;
+  if (blocker != nullptr) options.extra_extensions.push_back(blocker);
   std::optional<cookieguard::Deployment> guards;
   if (policy == policy::PolicyKind::kCookieGuard) {
     guards.emplace(threads);
@@ -184,6 +193,7 @@ inline void run_measurement_crawl(
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);
   });
+  return guards ? guards->stats() : cookieguard::CookieGuard::Stats{};
 }
 
 inline void print_row(const char* label, double paper, double measured,

@@ -1,12 +1,12 @@
 // Filter-list content blocking (EasyList style), the §2.1 baseline defense
 // with behaviour of its own. Like CookieGuard it is a browser extension, so
-// bench_policy_matrix sets it beside CookieGuard and the partitioning
-// policies on the same corpus. It removes known tracker scripts wholesale:
+// bench_evaluation's bake-off sets it beside CookieGuard and the
+// partitioning policies on the same corpus. It removes known tracker scripts wholesale:
 // effective against listed domains, blind to the long tail, CNAME-cloaked
 // scripts, and first-party proxies, and it takes the vendor's legitimate
 // functionality down with it. The other §2.1 baselines are partitioning
 // policies (src/policy/): third-party cookie blocking is the single-jar
-// engines' cross-site rule, and storage partitioning is FPI/CHIPS.
+// engine's cross-site rule, and storage partitioning is FPI/CHIPS.
 #pragma once
 
 #include <cstdint>

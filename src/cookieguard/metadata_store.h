@@ -40,12 +40,6 @@ class MetadataStore {
   void clear() { store_.clear(); }
   std::size_t size() const { return store_.size(); }
 
-  /// Snapshot copy, as background.js hands the content script "a current
-  /// copy of the dataset for accurate cookie filtering".
-  std::map<std::string, std::string, std::less<>> snapshot() const {
-    return store_;
-  }
-
  private:
   std::map<std::string, std::string, std::less<>> store_;
 };

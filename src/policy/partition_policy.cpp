@@ -25,10 +25,9 @@ cookies::PartitionKey chips_key(std::string_view top_level_site) {
 /// post-third-party-cookie browser, §1). A cross-origin subframe gets its
 /// own per-page partition keyed by frame origin — checked before the
 /// cross-site gate, because SOP, not the third-party rule, scopes frame
-/// script access. NoDefense and CookieGuardPolicy share this storage
-/// behaviour — CookieGuard changes the API boundary above the jar, never
-/// the jar itself (§6).
-class SingleJarPolicy : public PartitionPolicy {
+/// script access. CookieGuard runs on this engine too: it changes the API
+/// boundary above the jar, never the jar itself (§6).
+class NoDefense final : public PartitionPolicy {
  public:
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
     if (!ctx.frame_origin.empty()) {
@@ -57,16 +56,6 @@ class SingleJarPolicy : public PartitionPolicy {
   }
 };
 
-class NoDefense final : public SingleJarPolicy {
- public:
-  PolicyKind kind() const override { return PolicyKind::kNone; }
-};
-
-class CookieGuardPolicy final : public SingleJarPolicy {
- public:
-  PolicyKind kind() const override { return PolicyKind::kCookieGuard; }
-};
-
 /// Firefox First-Party Isolation: every cookie jar is double-keyed by the
 /// top-level site (the firstPartyDomain origin attribute, SNIPPETS.md
 /// snippets 1-2). Cross-site embeds still get cookies — isolated into the
@@ -74,8 +63,6 @@ class CookieGuardPolicy final : public SingleJarPolicy {
 /// cannot name its first party is an error with Firefox's exact message.
 class FirstPartyIsolation final : public PartitionPolicy {
  public:
-  PolicyKind kind() const override { return PolicyKind::kFirstPartyIsolation; }
-
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
     if (ctx.top_level_site.empty()) {
       return StoreDecision::blocked(kFpiMissingAttributeError,
@@ -104,8 +91,6 @@ class FirstPartyIsolation final : public PartitionPolicy {
 /// retrieve/store(url, partition_key, flags) shape).
 class Chips final : public PartitionPolicy {
  public:
-  PolicyKind kind() const override { return PolicyKind::kChips; }
-
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
     if (ctx.partitioned_attribute) {
       return StoreDecision::ok(chips_key(ctx.top_level_site));
@@ -172,14 +157,12 @@ const PartitionPolicy& engine_for(PolicyKind kind) {
   // Stateless const singletons: shareable across crawl workers, no mutable
   // state (determinism contract D4).
   static const NoDefense none;
-  static const CookieGuardPolicy cookieguard;
   static const FirstPartyIsolation fpi;
   static const Chips chips;
   switch (kind) {
     case PolicyKind::kNone:
-      return none;
     case PolicyKind::kCookieGuard:
-      return cookieguard;
+      return none;
     case PolicyKind::kFirstPartyIsolation:
       return fpi;
     case PolicyKind::kChips:

@@ -8,11 +8,10 @@
 // (which partition an access lands in, and which cookies an actor may see):
 //
 //   * NoDefense          — the status-quo single jar; byte-identical to the
-//                          pre-policy simulator.
-//   * CookieGuardPolicy  — jar behaviour identical to NoDefense; the
-//                          CookieGuard *extension* interposes above the jar
-//                          (paper §6 changes the API boundary, not storage),
-//                          so src/cookieguard/ sits on top unchanged.
+//                          pre-policy simulator. kCookieGuard runs on it
+//                          too: the CookieGuard *extension* interposes above
+//                          the jar (paper §6 changes the API boundary, not
+//                          storage), so src/cookieguard/ sits on top.
 //   * FirstPartyIsolation— Firefox `privacy.firstparty.isolate`: every jar
 //                          is keyed by the top-level site (firstPartyDomain
 //                          origin attribute); an access that cannot name its
@@ -78,7 +77,7 @@ struct CookieAccessContext {
 };
 
 /// The per-page partition a cross-origin frame's cookies live in under the
-/// single-jar engines. The page that hosts the frame drops it when the page
+/// single-jar engine. The page that hosts the frame drops it when the page
 /// is destroyed.
 cookies::PartitionKey frame_partition_key(std::string_view frame_origin);
 
@@ -164,8 +163,6 @@ class PartitionPolicy {
  public:
   virtual ~PartitionPolicy() = default;
 
-  virtual PolicyKind kind() const = 0;
-
   /// Which partition a Set-Cookie/write in `ctx` lands in, or why not.
   virtual StoreDecision key_for_store(const CookieAccessContext& ctx)
       const = 0;
@@ -180,8 +177,8 @@ class PartitionPolicy {
                        const CookieAccessContext& ctx) const = 0;
 };
 
-/// The shared stateless engine for `kind`. Never null; valid for the
-/// program's lifetime.
+/// The shared stateless engine for `kind` (kNone and kCookieGuard share
+/// NoDefense). Never null; valid for the program's lifetime.
 const PartitionPolicy& engine_for(PolicyKind kind);
 
 }  // namespace cg::policy

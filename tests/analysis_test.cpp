@@ -542,5 +542,24 @@ TEST(FoldTest, AnalyzerIngestEqualsFoldMerge) {
             applied.summary().domains.size());
 }
 
+// Mean and median of one lifecycle metric (Table 4).
+TEST(SummarizeTest, MeanAndMedian) {
+  const auto s = summarize({100, 200, 300, 400, 1000});
+  EXPECT_DOUBLE_EQ(s.mean_ms, 400.0);
+  EXPECT_EQ(s.median_ms, 300);
+}
+
+TEST(SummarizeTest, EmptyInput) {
+  const auto s = summarize({});
+  EXPECT_DOUBLE_EQ(s.mean_ms, 0.0);
+  EXPECT_EQ(s.median_ms, 0);
+}
+
+TEST(SummarizeTest, SingleSample) {
+  const auto s = summarize({42});
+  EXPECT_DOUBLE_EQ(s.mean_ms, 42.0);
+  EXPECT_EQ(s.median_ms, 42);
+}
+
 }  // namespace
 }  // namespace cg::analysis

@@ -2,8 +2,11 @@
 // asserting the paper's headline effects hold on a small corpus.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "analysis/analyzer.h"
 #include "cookieguard/cookieguard.h"
+#include "cookieguard/deployment.h"
 #include "crawler/crawler.h"
 
 namespace cg {
@@ -138,6 +141,84 @@ TEST_F(IntegrationTest, GoogleAnalyticsIsTopExfiltratorDomain) {
   const auto domains = analyzer.summary().top_exfiltrator_domains(3);
   ASSERT_FALSE(domains.empty());
   EXPECT_EQ(domains[0].first, "google-analytics.com");  // Figure 2
+}
+
+// Table 4: the lifecycle timings the analyzer folds from paired fault-free
+// crawls, with and without CookieGuard.
+class PerfComparisonTest : public ::testing::Test {
+ protected:
+  struct Timings {
+    analysis::TimingSummary dom_content_loaded;
+    analysis::TimingSummary dom_interactive;
+    analysis::TimingSummary load_event;
+  };
+
+  static const corpus::Corpus& corpus() {
+    static const corpus::CorpusParams params = [] {
+      corpus::CorpusParams p;
+      p.site_count = 120;
+      return p;
+    }();
+    static const corpus::Corpus instance(params);
+    return instance;
+  }
+
+  /// The fault-free crawl of the first `sites` corpus sites; a non-null
+  /// `guard` runs policy cookieguard with a CookieGuard so configured.
+  static Timings crawl_timings(int sites,
+                               const cookieguard::CookieGuardConfig* guard) {
+    crawler::Crawler crawler(corpus());
+    crawler::CrawlOptions options;
+    options.fault_plan.reset();
+    std::optional<cookieguard::Deployment> guards;
+    if (guard != nullptr) {
+      options.policy = policy::PolicyKind::kCookieGuard;
+      guards.emplace(options.threads, *guard);
+      options.extension_factory = guards->factory();
+    }
+    analysis::Analyzer analyzer(corpus().entities());
+    crawler.crawl(sites, options, [&](instrument::VisitLog&& log) {
+      analyzer.ingest(log);
+    });
+    const auto& t = analyzer.totals();
+    return {analysis::summarize(t.dom_content_loaded),
+            analysis::summarize(t.dom_interactive),
+            analysis::summarize(t.load_event)};
+  }
+};
+
+TEST_F(PerfComparisonTest, CookieGuardAddsOverhead) {
+  const cookieguard::CookieGuardConfig config;
+  const Timings normal = crawl_timings(120, nullptr);
+  const Timings guarded = crawl_timings(120, &config);
+  EXPECT_GT(guarded.load_event.mean_ms - normal.load_event.mean_ms, 0);
+  EXPECT_GT(guarded.dom_content_loaded.mean_ms,
+            normal.dom_content_loaded.mean_ms);
+  // dom_interactive fires before any script executes, so interception
+  // cannot slow it: equal in both runs.
+  EXPECT_DOUBLE_EQ(guarded.dom_interactive.mean_ms,
+                   normal.dom_interactive.mean_ms);
+  // Ordering invariants hold in both runs.
+  EXPECT_LE(normal.dom_interactive.mean_ms,
+            normal.dom_content_loaded.mean_ms);
+  EXPECT_LE(normal.dom_content_loaded.mean_ms, normal.load_event.mean_ms);
+}
+
+TEST_F(PerfComparisonTest, OverheadScalesWithPerCallCost) {
+  cookieguard::CookieGuardConfig cheap;
+  cheap.api_overhead_ms = 1;
+  cookieguard::CookieGuardConfig expensive;
+  expensive.api_overhead_ms = 10;
+  const double normal = crawl_timings(60, nullptr).load_event.mean_ms;
+  const double a = crawl_timings(60, &cheap).load_event.mean_ms - normal;
+  const double b = crawl_timings(60, &expensive).load_event.mean_ms - normal;
+  EXPECT_GT(b, a);
+}
+
+TEST_F(PerfComparisonTest, MedianReportedFromSameDistribution) {
+  const Timings normal = crawl_timings(60, nullptr);
+  EXPECT_GT(normal.load_event.median_ms, 0);
+  EXPECT_GE(normal.load_event.mean_ms, normal.dom_content_loaded.mean_ms);
 }
 
 }  // namespace

@@ -325,7 +325,7 @@ TEST(RuleD4Test, FlagsMutableNamespaceScopeGlobals) {
 TEST(RuleD4Test, BracedDefaultArgumentIsNotAGlobal) {
   // `= {}` before another parameter used to end the statement scan at the
   // brace, so `, int threads = 1);` read as an assigned global.
-  const auto report = run("src/perf/perf.h",
+  const auto report = run("src/crawler/x.h",
                           "namespace cg {\n"
                           "Comparison compare(const Config& config = {},\n"
                           "                   int threads = 1);\n"

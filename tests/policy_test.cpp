@@ -66,7 +66,6 @@ TEST(PolicyKindTest, NamesRoundTripThroughParse) {
     const auto parsed = policy::parse_policy(policy::to_string(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
-    EXPECT_EQ(policy::engine_for(kind).kind(), kind);
   }
   EXPECT_FALSE(policy::parse_policy("firefox").has_value());
   EXPECT_FALSE(policy::parse_policy("").has_value());
@@ -79,6 +78,42 @@ TEST(PolicyEngineTest, EnginesAreSharedSingletons) {
        {PolicyKind::kNone, PolicyKind::kCookieGuard,
         PolicyKind::kFirstPartyIsolation, PolicyKind::kChips}) {
     EXPECT_EQ(&policy::engine_for(kind), &policy::engine_for(kind));
+  }
+}
+
+TEST(PolicyEngineTest, CookieGuardDecidesAsNone) {
+  // CookieGuard changes the API boundary above the jar, not the jar: its
+  // engine must store and read exactly where none's does.
+  const auto& none = policy::engine_for(PolicyKind::kNone);
+  const auto& guard = policy::engine_for(PolicyKind::kCookieGuard);
+  Access contexts[] = {
+      {"shop.example", "https://www.shop.example/", false,
+       cookies::JarApi::kScript},
+      {"shop.example", "https://www.shop.example/", false,
+       cookies::JarApi::kHttp},
+      {"shop.example", "https://cdn.tracker.com/p", true,
+       cookies::JarApi::kHttp},
+      {"shop.example", "https://cdn.tracker.com/p", true,
+       cookies::JarApi::kScript},
+      {"", "https://www.shop.example/", false, cookies::JarApi::kScript},
+      {"shop.example", "https://ads.tracker.com/frame.html", true,
+       cookies::JarApi::kScript},
+  };
+  contexts[3].ctx.partitioned_attribute = true;
+  contexts[5].ctx.frame_origin = "https://ads.tracker.com";
+  for (const Access& access : contexts) {
+    const auto want_store = none.key_for_store(access);
+    const auto got_store = guard.key_for_store(access);
+    EXPECT_EQ(got_store.allowed, want_store.allowed);
+    EXPECT_EQ(got_store.key, want_store.key);
+    EXPECT_EQ(got_store.error, want_store.error);
+    EXPECT_EQ(got_store.defense_block, want_store.defense_block);
+    const auto want_read = none.key_for_read(access);
+    const auto got_read = guard.key_for_read(access);
+    EXPECT_EQ(got_read.allowed, want_read.allowed);
+    EXPECT_EQ(keys_of(got_read), keys_of(want_read));
+    EXPECT_EQ(got_read.error, want_read.error);
+    EXPECT_EQ(got_read.defense_block, want_read.defense_block);
   }
 }
 

@@ -77,7 +77,6 @@
 #include "entities/entity_map.h"
 #include "evolve/wave_corpus.h"
 #include "obs/metrics.h"
-#include "perf/perf.h"
 #include "policy/partition_policy.h"
 #include "report/report.h"
 #include "store/atomic_file.h"
@@ -290,20 +289,26 @@ std::function<void(const crawler::CrawlCheckpoint&)> checkpoint_writer(
   };
 }
 
+/// Under policy cookieguard, runs a CookieGuard on every crawl worker of
+/// `options`, held in `guards`, which must outlive the crawl.
+void deploy_guards(crawler::CrawlOptions& options,
+                   std::optional<cookieguard::Deployment>* guards) {
+  if (options.policy == policy::PolicyKind::kCookieGuard) {
+    guards->emplace(options.threads);
+    options.extension_factory = (*guards)->factory();
+  }
+}
+
 /// The crawl set-up crawl and pack share: --threads, --no-faults, the
-/// partitioning policy, and a checkpoint to --checkpoint FILE every
-/// --checkpoint-every N sites. Under --policy cookieguard every crawl worker
-/// runs a CookieGuard held in `guards`, which must outlive the crawl.
+/// partitioning policy (see deploy_guards), and a checkpoint to
+/// --checkpoint FILE every --checkpoint-every N sites.
 crawler::CrawlOptions crawl_options(
     const cli::Flags& flags, std::optional<cookieguard::Deployment>* guards) {
   crawler::CrawlOptions options;
   options.threads = flags.get_int("threads", 1, 0);
   if (flags.has("no-faults")) options.fault_plan.reset();
   options.policy = cli::policy_kind(flags);
-  if (options.policy == policy::PolicyKind::kCookieGuard) {
-    guards->emplace(options.threads);
-    options.extension_factory = (*guards)->factory();
-  }
+  deploy_guards(options, guards);
   // Crash-safe progress: persist a checkpoint every N sites; --resume
   // continues a killed run from the persisted file.
   if (const auto path = flags.find("checkpoint")) {
@@ -804,15 +809,32 @@ int cmd_trace_check(const cli::Flags& flags) {
   return 0;
 }
 
+/// Mean load-event time of the fault-free crawl under `policy`, read from
+/// the analyzer's timings (Table 4's headline row).
+double fault_free_load_event_ms(const corpus::Corpus& corpus,
+                                policy::PolicyKind policy, int threads) {
+  crawler::CrawlOptions options;
+  options.fault_plan.reset();
+  options.threads = threads;
+  options.policy = policy;
+  std::optional<cookieguard::Deployment> guards;
+  deploy_guards(options, &guards);
+  analysis::Analyzer analyzer(corpus.entities());
+  crawler::Crawler(corpus).crawl(
+      corpus.size(), options,
+      [&](instrument::VisitLog&& log) { analyzer.ingest(log); });
+  return analysis::summarize(analyzer.totals().load_event).mean_ms;
+}
+
 int cmd_perf(const cli::Flags& flags) {
   corpus::Corpus corpus(corpus_params(flags));
-  const auto comparison = perf::compare_page_load(
-      corpus, corpus.size(), policy::PolicyKind::kCookieGuard, {},
-      flags.get_int("threads", 1, 0));
-  std::printf("load event: %.0f ms -> %.0f ms (overhead %.0f ms)\n",
-              comparison.normal.load_event.mean_ms,
-              comparison.guarded.load_event.mean_ms,
-              comparison.mean_overhead_ms);
+  const int threads = flags.get_int("threads", 1, 0);
+  const double normal =
+      fault_free_load_event_ms(corpus, policy::PolicyKind::kNone, threads);
+  const double guarded = fault_free_load_event_ms(
+      corpus, policy::PolicyKind::kCookieGuard, threads);
+  std::printf("load event: %.0f ms -> %.0f ms (overhead %.0f ms)\n", normal,
+              guarded, guarded - normal);
   return 0;
 }
 

@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "bench_util.h"
-#include "cookieguard/deployment.h"
 
 namespace {
 
@@ -33,7 +32,7 @@ CrawlStats run(const corpus::Corpus& corpus,
   options.attribution = attribution;
   options.browser_config.async_stack_traces = async_stacks;
   options.threads = threads;
-  std::optional<cookieguard::Deployment> guards;
+  std::optional<crawler::Deployment<cookieguard::CookieGuard>> guards;
   if (guard_config != nullptr) {
     guards.emplace(threads, *guard_config);
     options.extension_factory = guards->factory();

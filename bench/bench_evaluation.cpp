@@ -45,7 +45,6 @@
 
 #include "bench_util.h"
 #include "breakage/breakage.h"
-#include "cookieguard/filter_list.h"
 
 namespace {
 
@@ -73,18 +72,20 @@ struct MatrixRow {
   double doc_exfil_pct = 0;      // sites with cross-domain exfiltration
 };
 
-/// Table 5 axis: the faulted measurement crawl under `kind`, plus `blocker`
-/// when non-null.
+using FilterList = crawler::Deployment<cookieguard::FilterListBlocker>;
+
+/// Table 5 axis: the faulted measurement crawl under `kind`, or with
+/// `filter_list` on every worker when non-null.
 MatrixRow manipulation_row(const corpus::Corpus& corpus, std::string label,
                            PolicyKind kind, int threads,
-                           browser::Extension* blocker = nullptr) {
+                           FilterList* filter_list = nullptr) {
   MatrixRow row;
   row.label = std::move(label);
   obs::MetricsRegistry metrics;
   analysis::Analyzer analyzer(corpus.entities());
   const auto guard_stats = bench::run_measurement_crawl(
       corpus, analyzer, /*with_faults=*/true, threads, nullptr, kind,
-      &metrics, blocker);
+      &metrics, filter_list);
 
   row.writes_blocked = metrics.counter("policy.writes_blocked") +
                        static_cast<long long>(guard_stats.writes_blocked);
@@ -210,7 +211,7 @@ std::string cell(std::optional<double> value, const char* suffix = "") {
 }
 
 void print_matrix(const std::vector<MatrixRow>& rows,
-                  const cookieguard::FilterListBlocker& filter_list) {
+                  const cookieguard::FilterListBlocker::Stats& filter_list) {
   print_section(
       "Defense bake-off — CookieGuard vs FPI vs CHIPS vs none "
       "(Tables 3/4/5 per policy)");
@@ -247,8 +248,8 @@ void print_matrix(const std::vector<MatrixRow>& rows,
   std::printf(
       "\n  filter-list blocked %llu script inclusions and %llu requests "
       "(the vendor functionality it removes).\n",
-      static_cast<unsigned long long>(filter_list.stats().scripts_blocked),
-      static_cast<unsigned long long>(filter_list.stats().requests_blocked));
+      static_cast<unsigned long long>(filter_list.scripts_blocked),
+      static_cast<unsigned long long>(filter_list.requests_blocked));
 
   std::printf(
       "\n  reading: FPI/CHIPS partition BETWEEN top-level sites, so they "
@@ -317,13 +318,13 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
   std::printf("crawling filter-list with faults...\n");
-  cookieguard::FilterListBlocker filter_list;
+  FilterList filter_list(threads);
   rows.push_back(manipulation_row(corpus, "filter-list", PolicyKind::kNone,
                                   threads, &filter_list));
 
   print_fig5(plain, guarded, guard_stats);
   print_table3(evaluator, sample, top);
   print_table4(plain, guarded);
-  print_matrix(rows, filter_list);
+  print_matrix(rows, filter_list.stats());
   return 0;
 }

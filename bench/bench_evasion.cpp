@@ -9,13 +9,15 @@
 //     denied all cookie access by the safe-by-default policy (over-
 //     blocking); behaviour-signature matching restores it as
 //     googletagmanager.com without opening the jar to unknown inline code.
-#include "cookieguard/cookieguard.h"
+#include <utility>
 
 #include "bench_util.h"
 
 namespace {
 
 using namespace cg;
+
+using Guards = crawler::Deployment<cookieguard::CookieGuard>;
 
 struct SubsetStats {
   double exfil_sites = 0;  // cross-domain exfiltration among subset sites
@@ -25,11 +27,11 @@ struct SubsetStats {
 
 SubsetStats crawl_subset(const corpus::Corpus& corpus,
                          const std::vector<int>& subset,
-                         cookieguard::CookieGuard* guard) {
+                         crawler::ExtensionFactory extensions = {}) {
   crawler::Crawler crawler(corpus);
   analysis::Analyzer analyzer(corpus.entities());
   crawler::CrawlOptions options;  // visit() never applies the fault plan
-  if (guard != nullptr) options.extra_extensions.push_back(guard);
+  options.extension_factory = std::move(extensions);
 
   int ga_sites = 0;
   for (const int index : subset) {
@@ -77,13 +79,13 @@ int main() {
   std::printf("\n-- CNAME cloaking (cross-domain exfiltration on cloaked "
               "sites) --\n");
   {
-    const auto none = crawl_subset(corpus, cloaked_sites, nullptr);
-    cookieguard::CookieGuard plain_guard;
-    const auto guarded = crawl_subset(corpus, cloaked_sites, &plain_guard);
+    const auto none = crawl_subset(corpus, cloaked_sites);
+    Guards plain(1);
+    const auto guarded = crawl_subset(corpus, cloaked_sites, plain.factory());
     cookieguard::CookieGuardConfig uncloak_cfg;
     uncloak_cfg.resolve_cname_cloaking = true;
-    cookieguard::CookieGuard uncloak_guard(uncloak_cfg);
-    const auto uncloaked = crawl_subset(corpus, cloaked_sites, &uncloak_guard);
+    Guards cname(1, uncloak_cfg);
+    const auto uncloaked = crawl_subset(corpus, cloaked_sites, cname.factory());
 
     std::printf("  %-44s %5.1f%% of cloaked sites\n", "no extension",
                 none.exfil_sites);
@@ -98,16 +100,16 @@ int main() {
   // ---- inline embedding ---------------------------------------------------
   std::printf("\n-- Inline vendor snippet (gtag pasted inline) --\n");
   {
-    const auto none = crawl_subset(corpus, inline_sites, nullptr);
-    cookieguard::CookieGuard plain_guard;
-    const auto guarded = crawl_subset(corpus, inline_sites, &plain_guard);
+    const auto none = crawl_subset(corpus, inline_sites);
+    Guards plain(1);
+    const auto guarded = crawl_subset(corpus, inline_sites, plain.factory());
 
     cookieguard::SignatureDb signatures;
     signatures.build_from_catalog(corpus.catalog());
     cookieguard::CookieGuardConfig sig_cfg;
     sig_cfg.signature_db = &signatures;
-    cookieguard::CookieGuard sig_guard(sig_cfg);
-    const auto matched = crawl_subset(corpus, inline_sites, &sig_guard);
+    Guards matching(1, sig_cfg);
+    const auto matched = crawl_subset(corpus, inline_sites, matching.factory());
 
     std::printf("  signature database: %zu known vendor signatures\n",
                 signatures.size());

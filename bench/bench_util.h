@@ -28,9 +28,11 @@
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "cli/flags.h"
-#include "cookieguard/deployment.h"
+#include "cookieguard/cookieguard.h"
+#include "cookieguard/filter_list.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
+#include "crawler/deployment.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "policy/partition_policy.h"
@@ -159,10 +161,11 @@ inline bool analyzer_from_archive_env(const corpus::Corpus& corpus,
 /// deploys CookieGuard on every crawl worker, and the return value is what
 /// that deployment enforced (all zero under any other policy). Non-null
 /// `trace` and `metrics` receive the crawl's virtual-time trace and metrics
-/// registry; a non-null `blocker` is one extension shared by every browser,
-/// so that crawl runs on one thread. With CG_ARCHIVE set, the plain
-/// configuration (policy none, faults on, no trace, metrics or blocker)
-/// replays the archive instead of crawling; other configurations —
+/// registry; a non-null `filter_list` is the crawl's extension deployment
+/// instead (a blocker per worker, for policies other than kCookieGuard),
+/// and its stats() are what it blocked. With CG_ARCHIVE set, the plain
+/// configuration (policy none, faults on, no trace, metrics or filter
+/// list) replays the archive instead of crawling; other configurations —
 /// fault-free comparison crawls or policies the archive does not represent
 /// — always run live.
 inline cookieguard::CookieGuard::Stats run_measurement_crawl(
@@ -171,9 +174,10 @@ inline cookieguard::CookieGuard::Stats run_measurement_crawl(
     obs::TraceRecorder* trace = nullptr,
     policy::PolicyKind policy = policy::PolicyKind::kNone,
     obs::MetricsRegistry* metrics = nullptr,
-    browser::Extension* blocker = nullptr) {
+    crawler::Deployment<cookieguard::FilterListBlocker>* filter_list =
+        nullptr) {
   if (with_faults && trace == nullptr && metrics == nullptr &&
-      blocker == nullptr && policy == policy::PolicyKind::kNone &&
+      filter_list == nullptr && policy == policy::PolicyKind::kNone &&
       analyzer_from_archive_env(corpus, analyzer)) {
     return {};
   }
@@ -184,11 +188,12 @@ inline cookieguard::CookieGuard::Stats run_measurement_crawl(
   options.trace = trace;
   options.metrics = metrics;
   options.policy = policy;
-  if (blocker != nullptr) options.extra_extensions.push_back(blocker);
-  std::optional<cookieguard::Deployment> guards;
+  std::optional<crawler::Deployment<cookieguard::CookieGuard>> guards;
   if (policy == policy::PolicyKind::kCookieGuard) {
     guards.emplace(threads);
     options.extension_factory = guards->factory();
+  } else if (filter_list != nullptr) {
+    options.extension_factory = filter_list->factory();
   }
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);

@@ -11,11 +11,12 @@
 #include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
+#include "crawler/deployment.h"
 
 int main() {
   using namespace cg;
 
-  // 1. Generate a synthetic web of 300 sites (the full reproduction uses
+  // 1. Generate a synthetic web of 1,000 sites (the full reproduction uses
   //    20,000; the benches do that).
   corpus::CorpusParams params;
   params.site_count = 1000;
@@ -47,9 +48,9 @@ int main() {
               100.0 * t.sites_doc_delete / n);
 
   // 3. Same crawl with CookieGuard enforcing per-script-origin isolation.
-  cookieguard::CookieGuard guard;
+  crawler::Deployment<cookieguard::CookieGuard> guards(options.threads);
   analysis::Analyzer guarded(corpus.entities());
-  options.extra_extensions = {&guard};
+  options.extension_factory = guards.factory();
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     guarded.ingest(log);
   });
@@ -63,9 +64,9 @@ int main() {
   std::printf("cross-domain deletion ........ %.1f%% of sites\n",
               100.0 * g.sites_doc_delete / n);
   std::printf("cookies hidden from readers .. %llu\n",
-              static_cast<unsigned long long>(guard.stats().cookies_hidden));
+              static_cast<unsigned long long>(guards.stats().cookies_hidden));
   std::printf("cross-domain writes blocked .. %llu\n",
-              static_cast<unsigned long long>(guard.stats().writes_blocked));
+              static_cast<unsigned long long>(guards.stats().writes_blocked));
 
   std::printf("avg TP scripts/site .......... %.1f\n",
               double(t.third_party_script_count) / t.sites_crawled);

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "browser/extension.h"
@@ -40,15 +42,22 @@ class FilterListBlocker final : public browser::Extension {
   struct Stats {
     std::uint64_t scripts_blocked = 0;
     std::uint64_t requests_blocked = 0;
+
+    /// Sums another instance's counters (the per-worker blockers of a
+    /// sharded crawl).
+    void merge(const Stats& other) {
+      scripts_blocked += other.scripts_blocked;
+      requests_blocked += other.requests_blocked;
+    }
   };
   const Stats& stats() const { return stats_; }
 
  private:
   bool is_blocked(std::string_view domain) const {
-    return blocked_.find(std::string(domain)) != blocked_.end();
+    return blocked_.find(domain) != blocked_.end();
   }
 
-  std::set<std::string> blocked_;
+  std::set<std::string, std::less<>> blocked_;
   Stats stats_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "browser/page.h"
@@ -31,6 +32,13 @@ TimeMillis attempt_clock_start(const browser::BrowserConfig& config, int rank,
                                TimeMillis clock_shift_ms) {
   return config.clock_start + static_cast<TimeMillis>(rank) * 77'777 +
          static_cast<TimeMillis>(visit_seed % 37'000) + clock_shift_ms;
+}
+
+/// Worker `worker`'s extensions: the factory's, or none when it is unset.
+std::vector<browser::Extension*> extensions_for(const CrawlOptions& options,
+                                                int worker) {
+  if (!options.extension_factory) return {};
+  return options.extension_factory(worker);
 }
 
 /// Histogram bounds for the deterministic crawl metrics (ms).
@@ -375,7 +383,7 @@ instrument::VisitLog Crawler::visit(int index,
   // A single clean visit: the measurement content of a site, independent of
   // crawl-pipeline weather. Faults only apply through crawl().
   return attempt_visit(corpus_.site_visit(index), options,
-                       fault::FaultDecision{}, options.extra_extensions,
+                       fault::FaultDecision{}, extensions_for(options, 0),
                        /*clock_shift_ms=*/0, /*attempt=*/0);
 }
 
@@ -544,11 +552,6 @@ CrawlHealth Crawler::crawl_range(
                     ? runtime::ThreadPool::hardware_threads()
                     : options.threads;
   threads = std::min(threads, std::max(n - begin, 1));
-  // Shared extension instances cannot be driven from several workers; only
-  // the per-worker factory parallelizes extension-bearing crawls.
-  if (!options.extra_extensions.empty() && !options.extension_factory) {
-    threads = 1;
-  }
 
   // Sites completed per shard worker, for checkpoint diagnostics. Relaxed
   // atomics: the values are a monitoring snapshot, not part of the
@@ -695,12 +698,7 @@ CrawlHealth Crawler::crawl_range(
   };
 
   if (threads <= 1) {
-    std::vector<browser::Extension*> extensions = options.extra_extensions;
-    if (options.extension_factory) {
-      for (auto* extension : options.extension_factory(0)) {
-        extensions.push_back(extension);
-      }
-    }
+    const auto extensions = extensions_for(options, 0);
     for (int i = begin; i < n; ++i) {
       finish_site(i, crawl_site(i, options, plan, extensions));
     }
@@ -713,11 +711,7 @@ CrawlHealth Crawler::crawl_range(
   // Sharded path. Each pool worker lazily builds its own extension set the
   // first time it executes a site; a slot is only ever touched by the pool
   // thread that owns it.
-  struct WorkerExtensions {
-    std::vector<browser::Extension*> installed;
-    bool ready = false;
-  };
-  std::vector<WorkerExtensions> per_worker(
+  std::vector<std::optional<std::vector<browser::Extension*>>> per_worker(
       static_cast<std::size_t>(threads));
 
   runtime::ShardOptions shard_options;
@@ -728,14 +722,8 @@ CrawlHealth Crawler::crawl_range(
       begin, n,
       [&](int index, int worker) {
         auto& extensions = per_worker[static_cast<std::size_t>(worker)];
-        if (!extensions.ready) {
-          if (options.extension_factory) {
-            extensions.installed = options.extension_factory(worker);
-          }
-          extensions.ready = true;
-        }
-        SiteOutcome outcome =
-            crawl_site(index, options, plan, extensions.installed);
+        if (!extensions) extensions = extensions_for(options, worker);
+        SiteOutcome outcome = crawl_site(index, options, plan, *extensions);
         shard_completed[static_cast<std::size_t>(worker)].fetch_add(
             1, std::memory_order_relaxed);
         return outcome;

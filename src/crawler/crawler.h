@@ -51,10 +51,10 @@ namespace cg::crawler {
 
 struct CrawlCheckpoint;
 
+using ExtensionFactory =
+    std::function<std::vector<browser::Extension*>(int worker)>;
+
 struct CrawlOptions {
-  /// Extra extensions (e.g. CookieGuard) installed *before* the measurement
-  /// recorder, so they filter what the recorder observes. Non-owning.
-  std::vector<browser::Extension*> extra_extensions;
   browser::BrowserConfig browser_config;
   ext::AttributionMode attribution = ext::AttributionMode::kLastExternal;
 
@@ -62,7 +62,7 @@ struct CrawlOptions {
   /// creates (the defense bake-off's independent variable). kNone is the
   /// status-quo single jar, byte-identical to the pre-policy crawler;
   /// kCookieGuard keeps the jar identical too — pair it with a
-  /// cookieguard::Deployment's extension_factory. Engines are stateless,
+  /// Deployment<CookieGuard>'s extension_factory. Engines are stateless,
   /// so one shared instance serves every shard worker.
   policy::PolicyKind policy = policy::PolicyKind::kNone;
 
@@ -82,18 +82,18 @@ struct CrawlOptions {
   /// Bounded reorder window between shard workers and the in-order merger,
   /// in finished visits (backpressure). <= 0 picks a default.
   int result_queue_capacity = 0;
-  /// Per-worker extensions for parallel crawls. Extensions are stateful, so
-  /// sharded workers cannot share one instance: the factory is called once
-  /// per worker (from that worker's thread) and returns the extensions that
-  /// worker installs before the recorder on every browser it creates. The
+  /// The crawl's extensions (e.g. CookieGuard), installed *before* the
+  /// measurement recorder so they filter what it observes; unset = none.
+  /// Extensions are stateful, so sharded workers cannot share one
+  /// instance: the factory is called once per worker (from that worker's
+  /// thread; visit() and a 1-thread crawl use worker 0) and returns the
+  /// extensions that worker installs on every browser it creates. The
   /// caller keeps ownership, must keep them alive for the whole crawl, and
-  /// must not hand one instance to two workers. Extensions whose *behavior*
-  /// is deterministic per visit (CookieGuard resets its metadata store each
-  /// visit) preserve the byte-identical guarantee. When unset while
-  /// `extra_extensions` is non-empty, the crawl falls back to one thread
-  /// rather than race the shared instances.
-  std::function<std::vector<browser::Extension*>(int worker)>
-      extension_factory;
+  /// must not hand one instance to two workers; a Deployment (deployment.h)
+  /// does all three. Extensions whose *behavior* is deterministic per visit
+  /// (CookieGuard resets its metadata store each visit) preserve the
+  /// byte-identical guarantee.
+  ExtensionFactory extension_factory;
 
   /// Retries per site beyond the first attempt.
   int max_retries = 2;

@@ -6,7 +6,7 @@
 #include <set>
 
 #include "cookieguard/cookieguard.h"
-#include "cookieguard/deployment.h"
+#include "crawler/deployment.h"
 #include "script/interpreter.h"
 #include "test_support.h"
 
@@ -544,7 +544,7 @@ TEST(CookieGuardStoreGetTest, SingleGetFilteredPerOrigin) {
 }
 
 TEST(DeploymentTest, EachWorkerGetsItsOwnGuard) {
-  Deployment deployment(3);
+  crawler::Deployment<CookieGuard> deployment(3);
   const auto factory = deployment.factory();
   std::set<browser::Extension*> distinct;
   for (int worker = 0; worker < 3; ++worker) {
@@ -558,7 +558,7 @@ TEST(DeploymentTest, EachWorkerGetsItsOwnGuard) {
 }
 
 TEST(DeploymentTest, StatsAreTheSumOfTheWorkersStats) {
-  Deployment deployment(3);
+  crawler::Deployment<CookieGuard> deployment(3);
   const auto factory = deployment.factory();
   CookieGuard::Stats expected;
   for (int worker = 0; worker < 3; ++worker) {

@@ -97,7 +97,9 @@ TEST(CrawlerTest, ExtraExtensionInstalledBeforeRecorder) {
   corpus::Corpus corpus(small_params(3));
   Crawler crawler(corpus);
   CrawlOptions options;
-  options.extra_extensions.push_back(&blocker);
+  options.extension_factory = [&](int) {
+    return std::vector<browser::Extension*>{&blocker};
+  };
   const auto log = crawler.visit(0, options);
   for (const auto& record : log.script_sets) {
     EXPECT_EQ(record.api, cookies::CookieSource::kCookieStore);

@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 
 #include "analysis/analyzer.h"
 #include "cookieguard/cookieguard.h"
-#include "cookieguard/deployment.h"
 #include "crawler/crawler.h"
+#include "crawler/deployment.h"
 
 namespace cg {
 namespace {
@@ -26,12 +27,12 @@ class IntegrationTest : public ::testing::Test {
     return instance;
   }
 
-  analysis::Analyzer run_crawl(browser::Extension* guard) {
+  analysis::Analyzer run_crawl(crawler::ExtensionFactory extensions = {}) {
     crawler::Crawler crawler(corpus());
     analysis::Analyzer analyzer(corpus().entities());
     crawler::CrawlOptions options;
     options.fault_plan.reset();
-    if (guard != nullptr) options.extra_extensions.push_back(guard);
+    options.extension_factory = std::move(extensions);
     crawler.crawl(kSites, options, [&](instrument::VisitLog&& log) {
       analyzer.ingest(log);
     });
@@ -40,7 +41,7 @@ class IntegrationTest : public ::testing::Test {
 };
 
 TEST_F(IntegrationTest, BaselineMatchesPaperShape) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto analyzer = run_crawl();
   const auto& t = analyzer.totals();
   const double crawled = t.sites_crawled;
   const double n = t.sites_complete;
@@ -78,9 +79,9 @@ TEST_F(IntegrationTest, BaselineMatchesPaperShape) {
 }
 
 TEST_F(IntegrationTest, CookieGuardBlocksMostCrossDomainActions) {
-  const auto baseline = run_crawl(nullptr);
-  cookieguard::CookieGuard guard;
-  const auto guarded = run_crawl(&guard);
+  const auto baseline = run_crawl();
+  crawler::Deployment<cookieguard::CookieGuard> guards(1);
+  const auto guarded = run_crawl(guards.factory());
 
   const auto& b = baseline.totals();
   const auto& g = guarded.totals();
@@ -96,14 +97,14 @@ TEST_F(IntegrationTest, CookieGuardBlocksMostCrossDomainActions) {
   EXPECT_LT(exfil_reduction, 0.97);
   EXPECT_GT(over_reduction, 0.70);
   EXPECT_GT(g.sites_doc_exfil, 0);  // residual: server-side GTM et al.
-  EXPECT_GT(guard.stats().cookies_hidden, 0u);
+  EXPECT_GT(guards.stats().cookies_hidden, 0u);
 }
 
 TEST_F(IntegrationTest, StrictIsolationEliminatesResidualOwnerActions) {
   cookieguard::CookieGuardConfig config;
   config.site_owner_full_access = false;
-  cookieguard::CookieGuard guard(config);
-  const auto guarded = run_crawl(&guard);
+  crawler::Deployment<cookieguard::CookieGuard> guards(1, config);
+  const auto guarded = run_crawl(guards.factory());
   const auto& g = guarded.totals();
   // Without the owner policy, the residual cross-domain actions vanish
   // almost entirely (ablation D2 of DESIGN.md).
@@ -112,7 +113,7 @@ TEST_F(IntegrationTest, StrictIsolationEliminatesResidualOwnerActions) {
 }
 
 TEST_F(IntegrationTest, GhostWrittenShareMatchesShift) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto analyzer = run_crawl();
   const auto& t = analyzer.totals();
   // Paper (§9): 92% of first-party cookies are ghost-written; our corpus
   // reproduces a strong majority.
@@ -122,14 +123,14 @@ TEST_F(IntegrationTest, GhostWrittenShareMatchesShift) {
 }
 
 TEST_F(IntegrationTest, AttributionMostlyCorrectWithAsyncStacks) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto analyzer = run_crawl();
   const auto& t = analyzer.totals();
   ASSERT_GT(t.attributed_sets, 0);
   EXPECT_GT(double(t.attribution_correct) / t.attributed_sets, 0.95);
 }
 
 TEST_F(IntegrationTest, TopExfiltratedCookieIsGa) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto analyzer = run_crawl();
   const auto top = analyzer.summary().top_exfiltrated(3);
   ASSERT_FALSE(top.empty());
   // Table 2: _ga (owner googletagmanager.com) leads.
@@ -137,7 +138,7 @@ TEST_F(IntegrationTest, TopExfiltratedCookieIsGa) {
 }
 
 TEST_F(IntegrationTest, GoogleAnalyticsIsTopExfiltratorDomain) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto analyzer = run_crawl();
   const auto domains = analyzer.summary().top_exfiltrator_domains(3);
   ASSERT_FALSE(domains.empty());
   EXPECT_EQ(domains[0].first, "google-analytics.com");  // Figure 2
@@ -170,7 +171,7 @@ class PerfComparisonTest : public ::testing::Test {
     crawler::Crawler crawler(corpus());
     crawler::CrawlOptions options;
     options.fault_plan.reset();
-    std::optional<cookieguard::Deployment> guards;
+    std::optional<crawler::Deployment<cookieguard::CookieGuard>> guards;
     if (guard != nullptr) {
       options.policy = policy::PolicyKind::kCookieGuard;
       guards.emplace(options.threads, *guard);

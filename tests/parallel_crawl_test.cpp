@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "cookieguard/deployment.h"
+#include "cookieguard/cookieguard.h"
+#include "cookieguard/filter_list.h"
 #include "crawler/crawler.h"
+#include "crawler/deployment.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "report/json.h"
@@ -72,7 +74,7 @@ TEST(ParallelCrawlTest, PerWorkerGuardsMatchSequentialGuard) {
     analysis::Analyzer analyzer(corpus.entities());
     crawler::CrawlOptions options;
     options.threads = threads;
-    cookieguard::Deployment guards(threads);
+    crawler::Deployment<cookieguard::CookieGuard> guards(threads);
     options.extension_factory = guards.factory();
     crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
       analyzer.ingest(log);
@@ -88,31 +90,31 @@ TEST(ParallelCrawlTest, PerWorkerGuardsMatchSequentialGuard) {
   EXPECT_EQ(stats4.writes_blocked, stats1.writes_blocked);
 }
 
-TEST(ParallelCrawlTest, SharedExtensionWithoutFactoryFallsBackToSequential) {
-  // extra_extensions without a factory cannot be parallelised safely; the
-  // crawl silently degrades to one thread instead of racing the extension.
-  corpus::Corpus corpus(small_params(60));
-  cookieguard::CookieGuard guard;
+TEST(ParallelCrawlTest, FilterListDeploymentMatchesOneThread) {
+  // The §2.1 filter-list baseline shards like CookieGuard: a blocker per
+  // worker gives the 1-thread crawl's analysis and, summed, its counts.
+  corpus::Corpus corpus(small_params(200));
 
-  crawler::Crawler crawler(corpus);
-  analysis::Analyzer threaded(corpus.entities());
-  crawler::CrawlOptions options;
-  options.threads = 8;
-  options.extra_extensions.push_back(&guard);
-  crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
-    threaded.ingest(log);
-  });
+  const auto crawl_blocked = [&](int threads) {
+    crawler::Crawler crawler(corpus);
+    analysis::Analyzer analyzer(corpus.entities());
+    crawler::CrawlOptions options;
+    options.threads = threads;
+    crawler::Deployment<cookieguard::FilterListBlocker> filter_list(threads);
+    options.extension_factory = filter_list.factory();
+    crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
+      analyzer.ingest(log);
+    });
+    return std::pair(report::summary_to_json(analyzer, 20).dump(2),
+                     filter_list.stats());
+  };
 
-  cookieguard::CookieGuard fresh;
-  analysis::Analyzer sequential(corpus.entities());
-  crawler::CrawlOptions seq_options;
-  seq_options.extra_extensions.push_back(&fresh);
-  crawler.crawl(corpus.size(), seq_options, [&](instrument::VisitLog&& log) {
-    sequential.ingest(log);
-  });
-
-  EXPECT_EQ(report::summary_to_json(threaded, 20).dump(),
-            report::summary_to_json(sequential, 20).dump());
+  const auto [summary1, stats1] = crawl_blocked(1);
+  const auto [summary4, stats4] = crawl_blocked(4);
+  EXPECT_EQ(summary4, summary1);
+  EXPECT_GT(stats1.scripts_blocked, 0u);
+  EXPECT_EQ(stats4.scripts_blocked, stats1.scripts_blocked);
+  EXPECT_EQ(stats4.requests_blocked, stats1.requests_blocked);
 }
 
 TEST(ParallelCrawlTest, CheckpointUnderShardingResumesAtDifferentThreadCount) {

@@ -15,8 +15,9 @@
 
 #include "analysis/analyzer.h"
 #include "browser/page.h"
-#include "cookieguard/deployment.h"
+#include "cookieguard/cookieguard.h"
 #include "crawler/crawler.h"
+#include "crawler/deployment.h"
 #include "obs/metrics.h"
 #include "policy/partition_policy.h"
 #include "report/report.h"
@@ -430,7 +431,7 @@ std::string crawl_summary(const corpus::Corpus& corpus, PolicyKind kind,
   options.threads = threads;
   options.policy = kind;
   options.metrics = metrics;
-  std::optional<cookieguard::Deployment> guards;
+  std::optional<crawler::Deployment<cookieguard::CookieGuard>> guards;
   if (kind == PolicyKind::kCookieGuard) {
     guards.emplace(threads);
     options.extension_factory = guards->factory();

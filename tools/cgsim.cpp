@@ -70,10 +70,11 @@
 #include "analysis/archive.h"
 #include "breakage/breakage.h"
 #include "cli/flags.h"
-#include "cookieguard/deployment.h"
+#include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
 #include "corpus/streaming_corpus.h"
 #include "crawler/crawler.h"
+#include "crawler/deployment.h"
 #include "entities/entity_map.h"
 #include "evolve/wave_corpus.h"
 #include "obs/metrics.h"
@@ -289,10 +290,12 @@ std::function<void(const crawler::CrawlCheckpoint&)> checkpoint_writer(
   };
 }
 
+using Guards = crawler::Deployment<cookieguard::CookieGuard>;
+
 /// Under policy cookieguard, runs a CookieGuard on every crawl worker of
 /// `options`, held in `guards`, which must outlive the crawl.
 void deploy_guards(crawler::CrawlOptions& options,
-                   std::optional<cookieguard::Deployment>* guards) {
+                   std::optional<Guards>* guards) {
   if (options.policy == policy::PolicyKind::kCookieGuard) {
     guards->emplace(options.threads);
     options.extension_factory = (*guards)->factory();
@@ -302,8 +305,8 @@ void deploy_guards(crawler::CrawlOptions& options,
 /// The crawl set-up crawl and pack share: --threads, --no-faults, the
 /// partitioning policy (see deploy_guards), and a checkpoint to
 /// --checkpoint FILE every --checkpoint-every N sites.
-crawler::CrawlOptions crawl_options(
-    const cli::Flags& flags, std::optional<cookieguard::Deployment>* guards) {
+crawler::CrawlOptions crawl_options(const cli::Flags& flags,
+                                    std::optional<Guards>* guards) {
   crawler::CrawlOptions options;
   options.threads = flags.get_int("threads", 1, 0);
   if (flags.has("no-faults")) options.fault_plan.reset();
@@ -327,7 +330,7 @@ int cmd_crawl(const cli::Flags& flags) {
   analyzer_options.totals_only = flags.has("totals-only");
   analysis::Analyzer analyzer(corpus.entities(), analyzer_options);
 
-  std::optional<cookieguard::Deployment> guards;
+  std::optional<Guards> guards;
   crawler::CrawlOptions options = crawl_options(flags, &guards);
 
   // Observability: stream the trace straight to disk (a 20k-site trace need
@@ -401,7 +404,7 @@ int cmd_crawl(const cli::Flags& flags) {
 // Crawl once, analyze many times: pack streams the measurement crawl into a
 // CGAR archive. No analyzer runs here — the archive *is* the product.
 int cmd_pack(const cli::Flags& flags) {
-  std::optional<cookieguard::Deployment> guards;
+  std::optional<Guards> guards;
   crawler::CrawlOptions options = crawl_options(flags, &guards);
 
   // Delta packs (--base): the base chain pins the corpus — seeds, site
@@ -817,7 +820,7 @@ double fault_free_load_event_ms(const corpus::Corpus& corpus,
   options.fault_plan.reset();
   options.threads = threads;
   options.policy = policy;
-  std::optional<cookieguard::Deployment> guards;
+  std::optional<Guards> guards;
   deploy_guards(options, &guards);
   analysis::Analyzer analyzer(corpus.entities());
   crawler::Crawler(corpus).crawl(
